@@ -147,12 +147,15 @@ class Graph:
         outputs: list[int] | None = None,
         precision: str = "single",
     ) -> dict[int, Tensor]:
-        """Evaluate the graph and return node values.
+        """Evaluate the graph and return the values of `outputs`.
 
         feeds maps placeholder ids to tensors. Only ancestors of `outputs`
-        are computed (all nodes when outputs is None). Eval mode makes
-        dropout the identity; in train mode masks are fully determined by
-        dropout_seed, so identical calls are bitwise identical.
+        are computed, and only the requested nodes are returned (every node
+        when outputs is None). The returned tensors are read-only and share
+        storage with the graph's saved values; a later pass builds new
+        arrays, so they never change. Eval mode makes dropout the identity;
+        in train mode masks are fully determined by dropout_seed, so
+        identical calls are bitwise identical.
         """
         if mode not in (TRAIN, EVAL):
             raise GraphError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
@@ -182,14 +185,15 @@ class Graph:
         self._saved = saved
         self._adjoints = {}
         self._ran_forward = True
-        return {i: Tensor._wrap(v.copy()) for i, v in values.items()}
+        return {i: Tensor._wrap(values[i]) for i in (values if outputs is None else outputs)}
 
     def backward(self, loss_id: int) -> dict[int, Tensor]:
         """Accumulate d(loss)/d(node) for ancestors of the loss node.
 
         Returns the gradient tensor for every parameter node (zeros for
-        parameters the loss does not depend on). Requires a prior forward
-        pass that computed the loss node.
+        parameters the loss does not depend on), read-only and sharing
+        storage with the saved adjoints. Requires a prior forward pass that
+        computed the loss node.
         """
         if not self._ran_forward or loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
@@ -222,19 +226,19 @@ class Graph:
                 g = adjoints.get(node.id)
                 if g is None:
                     g = np.zeros(node.value.shape, dtype=loss.dtype)
-                out[node.id] = Tensor._wrap(np.array(g))
+                out[node.id] = Tensor._wrap(g)
         return out
 
     def value(self, node_id: int) -> Tensor:
         if node_id not in self._values:
             raise GraphError(f"node {node_id} has no value; run forward first")
-        return Tensor._wrap(self._values[node_id].copy())
+        return Tensor._wrap(self._values[node_id])
 
     def adjoint(self, node_id: int) -> Tensor:
         """Adjoint of any node from the last backward pass (testing hook)."""
         if node_id not in self._adjoints:
             raise GraphError(f"node {node_id} has no adjoint; run backward first")
-        return Tensor._wrap(self._adjoints[node_id].copy())
+        return Tensor._wrap(self._adjoints[node_id])
 
 
 def forward(g: Graph, feeds: dict[int, Tensor], mode: str = EVAL, **kwargs) -> dict[int, Tensor]:

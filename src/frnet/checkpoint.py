@@ -21,13 +21,14 @@ disagreement raises CheckpointError and yields no partial state.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models
-from .errors import CheckpointError
+from .errors import CheckpointError, FrnetError
 
 MAGIC = b"FRNT"
 VERSION = 1
@@ -48,8 +49,10 @@ class ModelState:
 
 
 def _validate_against_spec(state: ModelState) -> None:
-    spec = models.spec_from_dict(state.spec_dict)
-    manifest = models.parameter_manifest(spec)
+    try:
+        manifest = models.parameter_manifest(models.spec_from_dict(state.spec_dict))
+    except (KeyError, TypeError, ValueError, FrnetError) as e:
+        raise CheckpointError(f"malformed network spec: {e!r}") from None
     if set(state.params) != set(manifest):
         missing = sorted(set(manifest) - set(state.params))
         extra = sorted(set(state.params) - set(manifest))
@@ -136,6 +139,56 @@ def save(state: ModelState, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _check_header(header, path: str) -> None:
+    """Reject a header whose keys are missing or of the wrong type."""
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise CheckpointError(f"{path}: malformed header: {what}")
+
+    need(isinstance(header, dict), "not a JSON object")
+    if header.get("checksum") != CHECKSUM_NAME:
+        raise CheckpointError(f"{path}: unknown checksum algorithm {header.get('checksum')!r}")
+    need(isinstance(header.get("params"), list), "'params' must be a list")
+    for entry in header["params"]:
+        need(
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(d) and d >= 0 for d in entry["shape"]),
+            "each 'params' entry needs a string 'name' and a list of extents 'shape'",
+        )
+    opt = header.get("optimizer")
+    need(
+        "optimizer" in header
+        and (
+            opt is None
+            or isinstance(opt, dict)
+            and _is_int(opt.get("t"))
+            and all(_is_number(opt.get(k)) for k in ("lr", "beta1", "beta2", "epsilon"))
+        ),
+        "'optimizer' must be null or hold an integer 't' and numeric hyperparameters",
+    )
+    scaling = header.get("scaling")
+    need(
+        "scaling" in header
+        and (scaling is None or isinstance(scaling, dict) and _is_int(scaling.get("width"))),
+        "'scaling' must be null or hold an integer 'width'",
+    )
+    need(isinstance(header.get("spec"), dict), "'spec' must be an object")
+    need(_is_int(header.get("seed")), "'seed' must be an integer")
+    need(isinstance(header.get("config_digest"), str), "'config_digest' must be a string")
+    need(isinstance(header.get("extras", {}), dict), "'extras' must be an object")
+
+
 def load(path: str) -> ModelState:
     """Read and validate a checkpoint; any defect raises, never a partial model."""
     try:
@@ -145,11 +198,11 @@ def load(path: str) -> ModelState:
         raise CheckpointError(f"{path}: {e}") from None
     if len(blob) < 24:
         raise CheckpointError(f"{path}: truncated file ({len(blob)} bytes)")
-    body, digest = blob[:-8], blob[-8:]
+    body, digest = memoryview(blob)[:-8], blob[-8:]  # slices of the view copy nothing
     if hashlib.sha256(body).digest()[:8] != digest:
         raise CheckpointError(f"{path}: checksum mismatch, file corrupt or truncated")
     if body[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {body[:4]!r}, expected {MAGIC!r}")
+        raise CheckpointError(f"{path}: bad magic {bytes(body[:4])!r}, expected {MAGIC!r}")
     version = int.from_bytes(body[4:8], "little")
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, this reader supports {VERSION}")
@@ -157,11 +210,10 @@ def load(path: str) -> ModelState:
     if 12 + header_len > len(body):
         raise CheckpointError(f"{path}: header length {header_len} exceeds file size")
     try:
-        header = json.loads(body[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(bytes(body[12 : 12 + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
-    if header.get("checksum") != CHECKSUM_NAME:
-        raise CheckpointError(f"{path}: unknown checksum algorithm {header.get('checksum')!r}")
+    _check_header(header, path)
 
     payload = body[12 + header_len :]
     offset = 0
@@ -178,14 +230,14 @@ def load(path: str) -> ModelState:
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        params[entry["name"]] = take(int(np.prod(shape)) if shape else 1, "<f4", shape)
+        params[entry["name"]] = take(math.prod(shape), "<f4", shape)
     optimizer = None
     if header["optimizer"] is not None:
         opt_header = header["optimizer"]
         m, v, master = {}, {}, {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             m[entry["name"]] = take(count, "<f8", shape)
             v[entry["name"]] = take(count, "<f8", shape)
             master[entry["name"]] = take(count, "<f8", shape)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import TRAIN, RunCtx, register_op
 from .errors import ShapeMismatchError
-from .tensor import Tensor
+from .tensor import CHUNK, Tensor
 
 
 @dataclass(frozen=True)
@@ -387,9 +387,16 @@ def _bce_bwd(grad, args, out, saved, attrs):
 
 
 def _l2_penalty_fwd(args, attrs, ctx):
+    # float64 sum of squares over flat chunks: no full-size float64 temporary.
+    # Only the reported loss reads this value; the backward rule uses w.
     (w,) = args
-    scale = attrs["scale"]
-    return np.array([scale * np.sum(np.square(w, dtype=np.float64))], dtype=w.dtype), None
+    flat, buf = w.reshape(-1), np.empty(CHUNK)
+    total = 0.0
+    for s in range(0, flat.size, CHUNK):
+        c = buf[: min(CHUNK, flat.size - s)]
+        np.copyto(c, flat[s : s + CHUNK])
+        total += np.square(c, out=c).sum()
+    return np.array([attrs["scale"] * total], dtype=w.dtype), None
 
 
 def _l2_penalty_bwd(grad, args, out, saved, attrs):

@@ -3,7 +3,9 @@
 Adam keeps its moments and a master copy of each parameter in float64 so
 that its state tracks a 64-bit scalar reference to within rounding; the
 parameters handed back to the network are float32, matching the tensor
-contract. Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8.
+contract. Each step overwrites m, v and the masters in place, in flat chunks,
+so it builds no full-size float64 temporary. Defaults: lr 0.001, beta1 0.9,
+beta2 0.999, epsilon 1e-8.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .tensor import Tensor
+from .tensor import CHUNK, Tensor
 
 
 @dataclass
@@ -41,29 +43,46 @@ def adam_step(
     """One bias-corrected Adam update; returns the new float32 parameters.
 
     `params` must be the tensors produced by the previous step (or the ones
-    the state was initialized from); updates are applied to the float64
-    masters and rounded once on the way out.
+    the state was initialized from). All names and shapes are checked before
+    the state changes, so a rejected call leaves it untouched. Updates run in
+    place over CHUNK elements at a time; every operation is elementwise, so
+    chunking changes no bit. Masters are rounded once on the way out.
     """
-    if set(params) != set(state.m):
-        raise ShapeMismatchError("adam_step: parameter names do not match optimizer state")
+    if not set(params) == set(grads) == set(state.m) == set(state.v) == set(state.master):
+        raise ShapeMismatchError("adam_step: names of params, grads and optimizer state differ")
+    for name, p in params.items():
+        shapes = (grads[name].shape,) + tuple(d[name].shape for d in (state.m, state.v, state.master))
+        if any(shape != p.shape for shape in shapes):
+            raise ShapeMismatchError(f"adam_step: {name}: param {p.shape}, grad/m/v/master {shapes}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    buf_g = np.empty(CHUNK)
+    buf_a = np.empty(CHUNK)
     out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape or state.m[name].shape != p.shape:
-            raise ShapeMismatchError(
-                f"adam_step: {name}: param {p.shape}, grad {g.shape}, state {state.m[name].shape}"
-            )
-        g64 = g.data.astype(np.float64)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g64
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * np.square(g64)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        state.master[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        out[name] = Tensor(state.master[name].astype(np.float32))
+    for name in params:
+        for slot in (state.m, state.v, state.master):
+            slot[name] = np.require(slot[name], np.float64, ["C", "W"])
+        g = grads[name].data.reshape(-1)
+        m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
+        for s in range(0, g.size, CHUNK):
+            k = min(CHUNK, g.size - s)
+            gc, a = buf_g[:k], buf_a[:k]
+            mc, vc, wc = m[s : s + k], v[s : s + k], w[s : s + k]
+            np.copyto(gc, g[s : s + k])
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+            np.multiply(mc, b1, out=mc)
+            np.add(mc, np.multiply(gc, 1.0 - b1, out=a), out=mc)
+            np.multiply(vc, b2, out=vc)
+            np.multiply(np.square(gc, out=gc), 1.0 - b2, out=gc)
+            np.add(vc, gc, out=vc)
+            # master -= (lr * m/bc1) / (sqrt(v/bc2) + eps)
+            np.add(np.sqrt(np.divide(vc, bc2, out=gc), out=gc), eps, out=gc)
+            np.multiply(np.divide(mc, bc1, out=a), lr, out=a)
+            np.subtract(wc, np.divide(a, gc, out=a), out=wc)
+        out[name] = Tensor._wrap(state.master[name].astype(np.float32))
     return out
 
 

@@ -383,7 +383,7 @@ def _load_model(path: str, expected_kind: str) -> tuple[CompiledModel, ScalingRe
         )
     spec = spec_from_dict(state.spec_dict)
     model = compile_model(spec, init_seed=0, random_init=False)
-    model.set_params({name: Tensor(arr) for name, arr in state.params.items()})
+    model.set_params({name: Tensor._wrap(arr) for name, arr in state.params.items()})
     record = ScalingRecord(*state.scaling) if state.scaling is not None else None
     return model, record
 

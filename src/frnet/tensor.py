@@ -15,6 +15,10 @@ from .errors import ShapeMismatchError
 
 Shape = tuple[int, ...]
 
+# Elements per slice of chunked float64 work over float32 storage (Adam, the
+# l2 penalty value), which thereby builds no full-size float64 temporary.
+CHUNK = 1 << 16
+
 
 def check_shape(dims) -> Shape:
     """Validate extents and return them as a tuple."""
@@ -51,10 +55,13 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "Tensor":
+        """Take ownership of `array`: mark it read-only and share its storage.
+
+        The caller must not write to it afterwards. Only a non-contiguous
+        array is copied, into row-major layout.
+        """
         t = object.__new__(cls)
         a = np.ascontiguousarray(array)
-        if a is array and a.flags.writeable:
-            a = a.copy()
         a.flags.writeable = False
         t._a = a
         return t

@@ -173,3 +173,36 @@ def test_double_precision_path_casts_feeds_and_params():
     vals = g.forward({x: Tensor([[1.0, 3.0]])}, outputs=[y], precision="double")
     assert vals[y].dtype == np.float64
     assert vals[y].tolist() == [[5.0]]
+
+
+def test_forward_returns_only_requested_outputs_read_only():
+    g = Graph()
+    x = g.placeholder("x")
+    w = g.parameter("w", Tensor([[2.0], [1.0]]))
+    h = g.apply("matmul", [x, w])
+    y = g.apply("relu", [h])
+    vals = g.forward({x: Tensor([[1.0, 3.0]])}, outputs=[h])
+    assert set(vals) == {h}
+    assert not vals[h].data.flags.writeable
+    with pytest.raises(ValueError):
+        vals[h].data[0, 0] = 1.0
+    assert set(g.forward({x: Tensor([[1.0, 3.0]])})) == {x, w, h, y}
+
+
+def test_returned_tensors_survive_later_passes():
+    rng = np.random.default_rng(8)
+    g = Graph()
+    x = g.placeholder("x")
+    w = g.parameter("w", Tensor(rng.standard_normal((4, 3)).astype(np.float32)))
+    h = g.apply("relu", [g.apply("matmul", [x, w])])
+    loss = g.apply("reduce_sum", [g.apply("mul", [h, h])])
+    first_feed = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
+    vals = g.forward({x: first_feed}, mode=TRAIN, outputs=[h, loss])
+    grads = g.backward(loss)
+    kept = [vals[h].data.copy(), vals[loss].data.copy(), grads[w].data.copy()]
+    g.forward({x: Tensor(rng.standard_normal((2, 4)).astype(np.float32))}, mode=TRAIN)
+    g.backward(loss)
+    assert [vals[h].data.tobytes(), vals[loss].data.tobytes(), grads[w].data.tobytes()] == [
+        a.tobytes() for a in kept
+    ]
+    assert not grads[w].data.flags.writeable

@@ -1,6 +1,7 @@
 """Checkpoint format: round-trips, determinism, fail-closed loading."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -162,6 +163,78 @@ def test_oversized_header_length_is_rejected(tmp_path):
         body[8:12] = (2**31).to_bytes(4, "little")
 
     _rewrite_with_valid_checksum(path, stretch_header)
+    with pytest.raises(CheckpointError):
+        load(path)
+
+
+def _rewrite_header(path, mutate):
+    # replace the JSON header, fix its length field and re-seal the checksum
+    def edit(body):
+        n = int.from_bytes(body[8:12], "little")
+        header = json.loads(bytes(body[12 : 12 + n]))
+        header = mutate(header)
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        body[8 : 12 + n] = len(raw).to_bytes(4, "little") + raw
+
+    _rewrite_with_valid_checksum(path, edit)
+
+
+def _drop(key):
+    def mutate(header):
+        del header[key]
+        return header
+    return mutate
+
+
+def _put(key, value):
+    def mutate(header):
+        header[key] = value
+        return header
+    return mutate
+
+
+def _first_param(field, value):
+    def mutate(header):
+        header["params"][0][field] = value
+        return header
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop("params"),
+        _drop("optimizer"),
+        _drop("scaling"),
+        _drop("spec"),
+        _drop("seed"),
+        _drop("config_digest"),
+        _put("params", {"conv1/w": [1, 1, 1, 1]}),
+        _put("params", ["conv1/w"]),
+        _first_param("shape", "3x3"),
+        _first_param("shape", [3, -1]),
+        _first_param("name", 7),
+        _put("optimizer", {"t": "17"}),
+        _put("scaling", {"width": 1.5}),
+        _put("spec", []),
+        _put("spec", {"model_kind": "frnet1"}),
+        _put("seed", "5"),
+        _put("config_digest", 12),
+        _put("extras", [1]),
+        lambda header: [header],
+    ],
+    ids=[
+        "no-params", "no-optimizer", "no-scaling", "no-spec", "no-seed", "no-config-digest",
+        "params-object", "params-entry-string", "shape-string", "shape-negative",
+        "name-number", "optimizer-t-string", "scaling-width-float", "spec-list",
+        "spec-without-layers", "seed-string", "config-digest-number", "extras-list",
+        "header-list",
+    ],
+)
+def test_malformed_header_schema_is_a_checkpoint_error(tmp_path, mutate):
+    path = str(tmp_path / "s.ckpt")
+    save(_state(), path)
+    _rewrite_header(path, mutate)
     with pytest.raises(CheckpointError):
         load(path)
 

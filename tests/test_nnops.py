@@ -1,11 +1,13 @@
 """Neural operators: SAME padding, forward oracles, gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck
+from frnet.autodiff import Graph
 from frnet.errors import ShapeMismatchError
 from frnet.nnops import (
     Conv2DSpec,
@@ -247,3 +249,31 @@ def test_operator_gradients_match_finite_differences(case):
         dropout_seed=case.get("dropout_seed", 0),
     )
     assert err < GRAD_TOL
+
+
+def _l2_graph(w, scale):
+    g = Graph()
+    node = g.apply("l2_penalty", [g.parameter("w", Tensor(w))], scale=scale)
+    return g, node
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1 << 16,), (700, 300)])
+def test_l2_penalty_value_matches_float64_sum_of_squares(shape):
+    w = np.random.default_rng(4).standard_normal(shape).astype(np.float32)
+    g, node = _l2_graph(w, 1.0)
+    got = float(g.forward({}, outputs=[node], precision="double")[node].data[0])
+    want = float(np.sum(np.square(w, dtype=np.float64)))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_l2_penalty_forward_builds_no_full_size_temporary():
+    w = np.random.default_rng(5).standard_normal((2048, 1024)).astype(np.float32)
+    g, node = _l2_graph(w, 0.001)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        g.forward({}, outputs=[node])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2**20, f"l2_penalty forward peaked at {(peak - base) / 2**20:.2f} MB"

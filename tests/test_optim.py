@@ -1,6 +1,7 @@
 """Adam updates, binary cross-entropy, and loss composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import scalar_adam_reference
 from frnet.errors import ShapeMismatchError
 from frnet.optim import AdamState, LossConfig, adam_step, bce_loss, total_loss
-from frnet.tensor import Tensor
+from frnet.tensor import CHUNK, Tensor
 
 
 def test_state_init_matches_parameter_shapes():
@@ -90,6 +91,94 @@ def test_adam_rejects_mismatched_names_and_shapes():
         adam_step({"y": Tensor([1.0])}, {"y": Tensor([1.0])}, state)
     with pytest.raises(ShapeMismatchError):
         adam_step({"x": Tensor([1.0])}, {"x": Tensor([1.0, 2.0])}, state)
+
+
+def _reference_adam_step(params, grads, state):
+    # the allocating update adam_step replaced, kept as the bitwise reference
+    state.t += 1
+    t = state.t
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    out = {}
+    for name in params:
+        g64 = grads[name].data.astype(np.float64)
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g64
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * np.square(g64)
+        m_hat = state.m[name] / bc1
+        v_hat = state.v[name] / bc2
+        state.master[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        out[name] = Tensor(state.master[name].astype(np.float32))
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(CHUNK - 3,), (CHUNK,), (3, CHUNK // 2 + 7), (2, 5, CHUNK // 4 + 1)],
+    ids=["below-chunk", "one-chunk", "spanning-2", "spanning-3"],
+)
+def test_chunked_adam_is_bitwise_equal_to_allocating_formula(shape):
+    rng = np.random.default_rng(2024)
+    params = {"w": Tensor(rng.standard_normal(shape).astype(np.float32)), "b": Tensor([0.5, -1.5])}
+    got_state = AdamState.init(params, lr=0.01)
+    ref_state = AdamState.init(params, lr=0.01)
+    got = ref = params
+    for step in range(20):
+        scale = 10.0 ** (step % 7 - 3)  # gradients spanning many binades
+        grads = {
+            "w": Tensor((scale * rng.standard_normal(shape)).astype(np.float32)),
+            "b": Tensor((scale * rng.standard_normal(2)).astype(np.float32)),
+        }
+        got = adam_step(got, grads, got_state)
+        ref = _reference_adam_step(ref, grads, ref_state)
+        for name in params:
+            assert got[name].data.tobytes() == ref[name].data.tobytes()
+            for slot in ("m", "v", "master"):
+                a, b = getattr(got_state, slot)[name], getattr(ref_state, slot)[name]
+                assert a.tobytes() == b.tobytes()
+    assert got_state.t == ref_state.t == 20
+
+
+def _snapshot(state):
+    return state.t, {
+        slot: {n: a.tobytes() for n, a in getattr(state, slot).items()}
+        for slot in ("m", "v", "master")
+    }
+
+
+def test_rejected_adam_step_leaves_state_untouched():
+    params = {"a": Tensor([1.0, 2.0]), "z": Tensor([[1.0], [2.0]])}
+    state = AdamState.init(params)
+    good = {"a": Tensor([0.1, 0.2]), "z": Tensor([[0.3], [0.4]])}
+    params = adam_step(params, good, state)
+    before = _snapshot(state)
+    bad_grads = [
+        {"a": good["a"]},  # missing grad
+        {**good, "extra": Tensor([1.0])},  # grad with no parameter
+        {"a": good["a"], "z": Tensor([0.3, 0.4])},  # shape mismatch on a later parameter
+    ]
+    for grads in bad_grads:
+        with pytest.raises(ShapeMismatchError):
+            adam_step(params, grads, state)
+        assert _snapshot(state) == before
+    with pytest.raises(ShapeMismatchError):
+        adam_step({**params, "z": Tensor([1.0, 2.0])}, good, state)
+    assert _snapshot(state) == before
+
+
+def test_adam_step_allocates_no_full_size_float64_temporaries():
+    n = 1 << 22
+    params = {"w": Tensor(np.linspace(-1.0, 1.0, n, dtype=np.float32))}
+    grads = {"w": Tensor(np.linspace(2.0, -2.0, n, dtype=np.float32))}
+    state = AdamState.init(params)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = adam_step(params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = out["w"].data.nbytes + 4 * 2**20  # the float32 result plus 4 MB
+    assert peak - base < budget, f"adam_step peaked at {(peak - base) / 2**20:.1f} MB"
 
 
 def test_bce_perfect_prediction_hits_clip_floor():

@@ -33,6 +33,17 @@ def test_tensor_is_immutable():
         t.data[0] = 9.0
 
 
+def test_wrap_takes_ownership_without_copying():
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    t = Tensor._wrap(a)
+    assert t.data is a and not a.flags.writeable
+    # only a non-contiguous array is copied, into row-major layout
+    b = np.arange(6, dtype=np.float32).reshape(2, 3).T
+    u = Tensor._wrap(b)
+    assert u.data.flags.c_contiguous and not u.data.flags.writeable
+    assert u.tolist() == b.tolist()
+
+
 def test_reshape_padded_instance_width():
     t = Tensor(np.arange(1477, dtype=np.float32))
     r = reshape(t, (1, 211, 7, 1))
