@@ -10,8 +10,6 @@ from .data import (
     dataset_stats,
     load_dataset,
     make_folds,
-    pad_and_reshape,
-    scale_minmax,
 )
 from .errors import FrnetError
 from .metrics import EvalReport, ScoredLabels, aggregate, aupr, auroc, confusion_rates
@@ -23,7 +21,6 @@ from .models import (
     compile_model,
     extract_features,
     infer_shapes,
-    reconstruction_accuracy,
 )
 from .optim import AdamState, adam_step, bce_loss
 from .pipeline import (
@@ -50,8 +47,6 @@ __all__ = [
     "dataset_stats",
     "load_dataset",
     "make_folds",
-    "pad_and_reshape",
-    "scale_minmax",
     "FrnetError",
     "EvalReport",
     "ScoredLabels",
@@ -66,7 +61,6 @@ __all__ = [
     "compile_model",
     "extract_features",
     "infer_shapes",
-    "reconstruction_accuracy",
     "AdamState",
     "adam_step",
     "bce_loss",

@@ -240,10 +240,3 @@ class Graph:
             raise GraphError(f"node {node_id} has no adjoint; run backward first")
         return Tensor._wrap(self._adjoints[node_id])
 
-
-def forward(g: Graph, feeds: dict[int, Tensor], mode: str = EVAL, **kwargs) -> dict[int, Tensor]:
-    return g.forward(feeds, mode=mode, **kwargs)
-
-
-def backward(g: Graph, loss_id: int) -> dict[int, Tensor]:
-    return g.backward(loss_id)

@@ -8,7 +8,6 @@ Byte layout (all integers little-endian, documented for reimplementation):
     bytes 12..    H bytes of UTF-8 JSON (sorted keys, no whitespace)
     ...           payload sections, in header-manifest order:
                     parameters      raw float32, row-major
-                    optimizer m/v/master per parameter, raw float64
                     scaling mins then maxs, raw float32
     last 8 bytes  first 8 bytes of SHA-256 over everything before them
 
@@ -16,7 +15,9 @@ The header carries the model kind, seed, config digest, the full network
 spec, and a manifest naming every payload array with its shape, so a load
 can validate structure before touching the payload. Loads fail closed: bad
 magic, unknown version, checksum mismatch, or any manifest/spec
-disagreement raises CheckpointError and yields no partial state.
+disagreement raises CheckpointError and yields no partial state. There is
+no optimizer section; the `"optimizer": null` key that older writers put in
+the header is ignored.
 """
 
 import hashlib
@@ -43,7 +44,6 @@ class ModelState:
     params: dict[str, np.ndarray]
     seed: int = 0
     config_digest: str = ""
-    optimizer: dict | None = None
     scaling: tuple[np.ndarray, np.ndarray] | None = None
     extras: dict = field(default_factory=dict)
 
@@ -67,10 +67,6 @@ def _f32(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<f4")
 
 
-def _f64(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype="<f8")
-
-
 def save(state: ModelState, path: str) -> None:
     """Write the checkpoint atomically (temp file + rename)."""
     _validate_against_spec(state)
@@ -80,7 +76,6 @@ def save(state: ModelState, path: str) -> None:
         "config_digest": state.config_digest,
         "extras": state.extras,
         "model_kind": state.spec_dict["model_kind"],
-        "optimizer": None,
         "params": [
             {"name": n, "shape": list(state.params[n].shape)} for n in param_names
         ],
@@ -92,25 +87,6 @@ def save(state: ModelState, path: str) -> None:
     sections: list[bytes] = []
     for n in param_names:
         sections.append(_f32(state.params[n]).tobytes())
-    if state.optimizer is not None:
-        opt = state.optimizer
-        if set(opt["m"]) != set(param_names) or set(opt["v"]) != set(param_names) or set(
-            opt["master"]
-        ) != set(param_names):
-            raise CheckpointError("optimizer state does not cover the parameter set")
-        header["optimizer"] = {
-            "t": opt["t"],
-            "lr": opt["lr"],
-            "beta1": opt["beta1"],
-            "beta2": opt["beta2"],
-            "epsilon": opt["epsilon"],
-        }
-        for n in param_names:
-            for slot in ("m", "v", "master"):
-                arr = np.asarray(opt[slot][n])
-                if tuple(arr.shape) != tuple(state.params[n].shape):
-                    raise CheckpointError(f"optimizer {slot}[{n}] shape mismatch")
-                sections.append(_f64(arr).tobytes())
     if state.scaling is not None:
         mins, maxs = state.scaling
         if mins.shape != maxs.shape or mins.ndim != 1:
@@ -143,10 +119,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
-
-
 def _check_header(header, path: str) -> None:
     """Reject a header whose keys are missing or of the wrong type."""
 
@@ -166,17 +138,6 @@ def _check_header(header, path: str) -> None:
             and all(_is_int(d) and d >= 0 for d in entry["shape"]),
             "each 'params' entry needs a string 'name' and a list of extents 'shape'",
         )
-    opt = header.get("optimizer")
-    need(
-        "optimizer" in header
-        and (
-            opt is None
-            or isinstance(opt, dict)
-            and _is_int(opt.get("t"))
-            and all(_is_number(opt.get(k)) for k in ("lr", "beta1", "beta2", "epsilon"))
-        ),
-        "'optimizer' must be null or hold an integer 't' and numeric hyperparameters",
-    )
     scaling = header.get("scaling")
     need(
         "scaling" in header
@@ -218,43 +179,22 @@ def load(path: str) -> ModelState:
     payload = body[12 + header_len :]
     offset = 0
 
-    def take(count: int, dtype: str, shape: tuple) -> np.ndarray:
+    def take(shape: tuple) -> np.ndarray:
         nonlocal offset
-        nbytes = count * np.dtype(dtype).itemsize
+        nbytes = 4 * math.prod(shape)
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload shorter than manifest requires")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(shape)
+        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f4").reshape(shape)
         offset += nbytes
         return arr.copy()
 
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        params[entry["name"]] = take(math.prod(shape), "<f4", shape)
-    optimizer = None
-    if header["optimizer"] is not None:
-        opt_header = header["optimizer"]
-        m, v, master = {}, {}, {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = math.prod(shape)
-            m[entry["name"]] = take(count, "<f8", shape)
-            v[entry["name"]] = take(count, "<f8", shape)
-            master[entry["name"]] = take(count, "<f8", shape)
-        optimizer = {
-            "t": int(opt_header["t"]),
-            "lr": float(opt_header["lr"]),
-            "beta1": float(opt_header["beta1"]),
-            "beta2": float(opt_header["beta2"]),
-            "epsilon": float(opt_header["epsilon"]),
-            "m": m,
-            "v": v,
-            "master": master,
-        }
+        params[entry["name"]] = take(tuple(entry["shape"]))
     scaling = None
     if header["scaling"] is not None:
         width = int(header["scaling"]["width"])
-        scaling = (take(width, "<f4", (width,)), take(width, "<f4", (width,)))
+        scaling = (take((width,)), take((width,)))
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} unexpected trailing payload bytes")
 
@@ -263,7 +203,6 @@ def load(path: str) -> ModelState:
         params=params,
         seed=int(header["seed"]),
         config_digest=header["config_digest"],
-        optimizer=optimizer,
         scaling=scaling,
         extras=header.get("extras", {}),
     )

@@ -8,13 +8,12 @@ with %.9g so 32-bit values survive the text round trip bit-exactly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
 from .rng import FOLDS, stream
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def load_dataset(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: {e}") from None
     lines = [
         (i + 1, ln)
@@ -265,29 +264,8 @@ def apply_scaling(features: np.ndarray, record: ScalingRecord) -> np.ndarray:
     return scaled.astype(np.float32, copy=False)
 
 
-def scale_minmax(d: Dataset, record: ScalingRecord | None = None) -> Dataset:
-    """Scaled copy of d; fits a record on d itself unless one is supplied."""
-    if record is None:
-        record = fit_scaling(d.features)
-    return replace(d, features=apply_scaling(d.features, record), scaling=record)
-
-
-def pad_and_reshape(features, orientation: tuple[int, int] = (211, 7)) -> Tensor:
-    """Append one zero and view the vector as a [1, h, w, 1] row-major image."""
-    vec = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float32)
-    if vec.ndim != 1:
-        raise ShapeMismatchError(f"expected a flat feature vector, got shape {vec.shape}")
-    h, w = orientation
-    if vec.size + 1 != h * w:
-        raise ShapeMismatchError(
-            f"{vec.size} features + 1 pad cannot fill orientation {h}x{w}"
-        )
-    padded = np.concatenate([vec.astype(np.float32), np.zeros(1, dtype=np.float32)])
-    return Tensor(padded.reshape(1, h, w, 1))
-
-
 def as_images(features: np.ndarray, orientation: tuple[int, int]) -> np.ndarray:
-    """pad_and_reshape applied row-wise: [n, d] -> [n, h, w, 1]."""
+    """Append one zero to each row and view it row-major: [n, d] -> [n, h, w, 1]."""
     feats = np.asarray(features, dtype=np.float32)
     h, w = orientation
     if feats.ndim != 2 or feats.shape[1] + 1 != h * w:

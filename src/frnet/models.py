@@ -123,11 +123,51 @@ def _conv_out(hw: tuple[int, int], fh: int, fw: int, stride: int) -> tuple[int, 
     return same_pad(hw[0], fh, stride)[2], same_pad(hw[1], fw, stride)[2]
 
 
+def _check_layer(layer: Layer, n_inputs: int) -> None:
+    """Reject a layer whose sizes, rates, activation or input count are invalid.
+
+    Sizes are extents, strides, channel counts and widths: integers >= 1.
+    """
+    if isinstance(layer, Input):
+        sizes = tuple(layer.item_shape)
+    elif isinstance(layer, Conv):
+        sizes = (layer.filter_height, layer.filter_width, layer.out_channels, layer.stride)
+    elif isinstance(layer, Pool):
+        sizes = (layer.kernel, layer.stride)
+    elif isinstance(layer, Inception):
+        sp = layer.spec
+        sizes = (sp.bottleneck_channels, sp.pool_kernel, sp.stride) + sum(map(tuple, sp.branches), ())
+    else:
+        sizes = (layer.width,) if isinstance(layer, Dense) else ()
+    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in sizes):
+        raise ShapeMismatchError(f"layer {layer.name}: sizes must be integers >= 1, got {sizes}")
+    if isinstance(layer, Dropout) and not 0 < layer.keep_prob <= 1:
+        raise ShapeMismatchError(f"layer {layer.name}: keep_prob must be in (0, 1]")
+    if isinstance(layer, (Conv, Dense, Inception)) and not layer.l2_scale >= 0:
+        raise ShapeMismatchError(f"layer {layer.name}: l2_scale must be >= 0")
+    acts = {Conv: ("relu", "none"), Dense: ("relu", "sigmoid", "none")}.get(type(layer))
+    if acts is not None and layer.activation not in acts:
+        raise ShapeMismatchError(f"layer {layer.name}: unsupported activation {layer.activation!r}")
+    if isinstance(layer, Concat):
+        arity_ok = n_inputs >= 1
+    else:
+        arity_ok = n_inputs == (0 if isinstance(layer, Input) else 1)
+    if not arity_ok:
+        raise ShapeMismatchError(f"layer {layer.name}: wrong number of inputs ({n_inputs})")
+
+
 def infer_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Per-example output shape of every layer, batch axis omitted."""
+    """Per-example output shape of every layer, batch axis omitted.
+
+    Also validates every layer's sizes and wiring, since both builders and
+    every checkpoint load run it. The first layer, and only it, is the input.
+    """
     shapes: dict[str, tuple[int, ...]] = {}
-    for layer in spec.layers:
+    for k, layer in enumerate(spec.layers):
+        if isinstance(layer, Input) != (k == 0):
+            raise ShapeMismatchError(f"layer {layer.name}: the input must be the first layer, and only it")
         ins = [shapes[n] for n in layer.inputs]
+        _check_layer(layer, len(ins))
         if isinstance(layer, Input):
             if len(layer.item_shape) != 3:
                 raise ShapeMismatchError(f"input shape must be (h, w, c), got {layer.item_shape}")
@@ -165,6 +205,8 @@ def infer_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
         else:
             raise ShapeMismatchError(f"unknown layer kind {type(layer).__name__}")
         shapes[layer.name] = out
+    if not spec.layers or not set(spec.taps.values()) <= set(shapes):
+        raise ShapeMismatchError("a spec needs an input layer, and every tap must name a layer")
     return shapes
 
 
@@ -483,15 +525,6 @@ def extract_features(model: CompiledModel, x: np.ndarray, tap: str = DEEP_FEATUR
             chunk = np.concatenate([chunk, pad], axis=0)
         rows.append(model.tap(chunk, tap)[:real])
     return np.concatenate(rows, axis=0)
-
-
-def reconstruction_accuracy(pred: Tensor, target: Tensor, tol: float = 0.5) -> float:
-    """Fraction of elements whose 0/1 roundings (threshold 0.5) agree within tol."""
-    if pred.shape != target.shape:
-        raise ShapeMismatchError(f"shapes {pred.shape} and {target.shape} differ")
-    rp = (pred.data >= 0.5).astype(np.float64)
-    rt = (target.data >= 0.5).astype(np.float64)
-    return float(np.mean(np.abs(rp - rt) < tol))
 
 
 def parameter_manifest(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:

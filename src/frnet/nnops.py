@@ -1,9 +1,9 @@
-"""Neural operators: 2-D convolution, max pooling, dense layers, activations,
-dropout, bias add, flatten.
+"""Neural operators, registered with the graph engine on import.
 
-Every operator exists twice over the same kernels: as a pure function on
-tensors (eval semantics, used for direct calls and feature extraction) and
-as a registered graph op with a backward rule for training.
+Each kind (2-D convolution, max pooling, matmul, bias add, activations,
+dropout, shape ops, elementwise arithmetic, reductions, the BCE loss and the
+l2 penalty) is one forward kernel and one backward rule. They run as graph
+nodes: build a `Graph`, `apply` the kind, and call `forward`.
 
 Cross-correlation convention (no kernel flip). SAME padding on each spatial
 axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
@@ -11,44 +11,12 @@ axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import TRAIN, RunCtx, register_op
-from .errors import ShapeMismatchError
-from .tensor import CHUNK, Tensor
-
-
-@dataclass(frozen=True)
-class Conv2DSpec:
-    filter_height: int
-    filter_width: int
-    out_channels: int
-    stride: int = 1
-    padding: str = "SAME"
-    activation: str = "none"
-    l2_scale: float = 0.0
-
-    def __post_init__(self):
-        if min(self.filter_height, self.filter_width, self.out_channels, self.stride) < 1:
-            raise ValueError("filter extents, out_channels and stride must be positive")
-        if self.padding != "SAME":
-            raise ValueError("only SAME padding is supported")
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"unsupported conv activation {self.activation!r}")
-        if self.l2_scale < 0:
-            raise ValueError("l2_scale must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    kernel: int
-    stride: int
-
-    def __post_init__(self):
-        if self.kernel < 1 or self.stride < 1:
-            raise ValueError("kernel and stride must be positive")
+from .autodiff import TRAIN, register_op
+from .errors import GraphError, ShapeMismatchError
+from .tensor import CHUNK
 
 
 def same_pad(extent: int, filt: int, stride: int) -> tuple[int, int, int]:
@@ -204,18 +172,14 @@ def _relu_bwd(grad, args, out, saved, attrs):
     return (grad * (x > 0),)
 
 
-def _sigmoid(x):
+def _sigmoid_fwd(args, attrs, ctx):
+    (x,) = args
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _sigmoid_fwd(args, attrs, ctx):
-    (x,) = args
-    return _sigmoid(x), None
+    return out, None
 
 
 def _sigmoid_bwd(grad, args, out, saved, attrs):
@@ -231,15 +195,11 @@ def _dropout_mask(shape, keep_prob, seed, node_id):
     return rng.random(shape) < keep_prob
 
 
-def _check_keep_prob(keep_prob):
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-
-
 def _dropout_fwd(args, attrs, ctx):
     (x,) = args
     keep = attrs["keep_prob"]
-    _check_keep_prob(keep)
+    if not 0.0 < keep <= 1.0:
+        raise GraphError(f"dropout: keep_prob must be in (0, 1], got {keep}")
     if ctx.mode != TRAIN or keep == 1.0:
         return x.copy(), None
     mask = _dropout_mask(x.shape, keep, ctx.dropout_seed, ctx.node_id)
@@ -366,7 +326,7 @@ def _bce_fwd(args, attrs, ctx):
     pred, target = args
     _same_shape(pred, target, "bce")
     if not (np.isfinite(pred).all() and np.isfinite(target).all()):
-        raise ValueError("bce: inputs must be finite")
+        raise GraphError("bce: inputs must be finite")
     eps = attrs.get("eps", 1e-7)
     pc = np.clip(pred, eps, 1.0 - eps)
     loss = -np.mean(
@@ -422,77 +382,3 @@ register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("bce", _bce_fwd, _bce_bwd)
 register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd)
 
-
-# ---------------------------------------------------------------------------
-# functional surface (eval semantics, plain tensors in and out)
-
-_CTX = RunCtx(mode="eval", dropout_seed=0)
-
-_ACT = {
-    "none": lambda a: a,
-    "relu": lambda a: np.maximum(a, 0),
-    "sigmoid": _sigmoid,
-}
-
-
-def conv2d(x: Tensor, spec: Conv2DSpec, weights: Tensor, bias: Tensor) -> Tensor:
-    """SAME-padded cross-correlation plus bias, then the spec's activation."""
-    expected = (spec.filter_height, spec.filter_width, x.shape[3] if len(x.shape) == 4 else -1, spec.out_channels)
-    if len(x.shape) != 4:
-        raise ShapeMismatchError(f"conv2d expects a rank-4 input, got {x.shape}")
-    if weights.shape != expected:
-        raise ShapeMismatchError(f"conv2d weights {weights.shape} do not match spec {expected}")
-    y, _ = _conv2d_fwd([x.data, weights.data, bias.data], {"stride": spec.stride}, _CTX)
-    return Tensor._wrap(_ACT[spec.activation](y))
-
-
-def maxpool2d(x: Tensor, spec: PoolSpec) -> Tensor:
-    y, _ = _maxpool2d_fwd([x.data], {"kernel": spec.kernel, "stride": spec.stride}, _CTX)
-    return Tensor._wrap(y)
-
-
-def dense(
-    x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none", l2_scale: float = 0.0
-) -> Tensor:
-    """x @ weights + bias, then activation (none/relu/sigmoid)."""
-    if activation not in _ACT:
-        raise ValueError(f"unsupported dense activation {activation!r}")
-    if len(x.shape) != 2 or len(weights.shape) != 2 or x.shape[1] != weights.shape[0]:
-        raise ShapeMismatchError(f"dense: incompatible shapes {x.shape} x {weights.shape}")
-    y, _ = _bias_add_fwd([x.data @ weights.data, bias.data], {}, _CTX)
-    return Tensor._wrap(_ACT[activation](y))
-
-
-def dropout(x: Tensor, keep_prob: float, seed: int, mode: str) -> Tensor:
-    """Inverted dropout: survivors are scaled by 1/keep_prob; eval is identity."""
-    _check_keep_prob(keep_prob)
-    y, _ = _dropout_fwd([x.data], {"keep_prob": keep_prob}, RunCtx(mode=mode, dropout_seed=seed))
-    return Tensor._wrap(y)
-
-
-def flatten(x: Tensor) -> Tensor:
-    """Row-major flatten of each batch element: [b,h,w,c] -> [b, h*w*c]."""
-    y, _ = _flatten_fwd([x.data], {}, _CTX)
-    return Tensor._wrap(y)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return Tensor._wrap(_sigmoid(x.data))
-
-
-def relu(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.maximum(x.data, 0))
-
-
-__all__ = [
-    "Conv2DSpec",
-    "PoolSpec",
-    "same_pad",
-    "conv2d",
-    "maxpool2d",
-    "dense",
-    "dropout",
-    "flatten",
-    "relu",
-    "sigmoid",
-]

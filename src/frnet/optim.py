@@ -1,4 +1,4 @@
-"""Adam optimizer, binary cross-entropy loss, and loss combination.
+"""Adam optimizer and the binary cross-entropy loss as a plain function.
 
 Adam keeps its moments and a master copy of each parameter in float64 so
 that its state tracks a 64-bit scalar reference to within rounding; the
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .nnops import _bce_fwd
 from .tensor import CHUNK, Tensor
 
 
@@ -87,32 +88,10 @@ def adam_step(
 
 
 def bce_loss(pred: Tensor, target: Tensor, eps_clip: float = 1e-7) -> float:
-    """Mean binary cross-entropy with predictions clipped to [eps, 1-eps]."""
-    if pred.shape != target.shape:
-        raise ShapeMismatchError(f"bce_loss: shapes {pred.shape} and {target.shape} differ")
-    p = pred.data.astype(np.float64)
-    y = target.data.astype(np.float64)
-    if not (np.isfinite(p).all() and np.isfinite(y).all()):
-        raise ValueError("bce_loss: inputs must be finite")
-    p = np.clip(p, eps_clip, 1.0 - eps_clip)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    """Mean binary cross-entropy with predictions clipped to [eps, 1-eps].
 
-
-def total_loss(data_loss: float, l2_penalties: list[float]) -> float:
-    """Data loss plus the sum of per-layer weight penalties."""
-    return float(data_loss) + float(sum(l2_penalties))
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    kind: str = "binary-crossentropy"
-    l2_scale: float = 0.001
-    eps_clip: float = 1e-7
-
-    def __post_init__(self):
-        if self.kind != "binary-crossentropy":
-            raise ValueError(f"unsupported loss kind {self.kind!r}")
-        if self.l2_scale < 0:
-            raise ValueError("l2_scale must be nonnegative")
-        if not 0 < self.eps_clip < 0.5:
-            raise ValueError("eps_clip must be in (0, 0.5)")
+    This is the graph's `bce` kernel run on float64 copies of the inputs.
+    """
+    args = [pred.data.astype(np.float64), target.data.astype(np.float64)]
+    loss, _ = _bce_fwd(args, {"eps": eps_clip}, None)
+    return float(loss[0])

@@ -267,8 +267,13 @@ def _train(
     master_seed: int,
     path: tuple[int, ...],
     accuracy_fn,
-) -> tuple[AdamState, TrainLog]:
-    """Mini-batch Adam over (x, y); deterministic given seed and path tags."""
+) -> TrainLog:
+    """Mini-batch Adam over (x, y); deterministic given seed and path tags.
+
+    A step that fails or yields a non-finite loss raises PipelineError naming
+    the model kind, epoch and batch, so a diverging run writes nothing.
+    """
+    kind = model.spec.model_kind
     n = len(x)
     params = model.params()
     state = AdamState.init(params, lr=lr)
@@ -280,13 +285,18 @@ def _train(
         for b, start in enumerate(range(0, n, batch_size)):
             idx = order[start : start + batch_size]
             dropout_seed = derive_key(master_seed, DROPOUT, *path, epoch, b)
-            total, _, grads = model.train_step_grads(x[idx], y[idx], dropout_seed)
+            try:
+                total, _, grads = model.train_step_grads(x[idx], y[idx], dropout_seed)
+            except FrnetError as e:
+                raise PipelineError(f"{kind} epoch {epoch} batch {b}: {e}") from e
+            if not math.isfinite(total):
+                raise PipelineError(f"{kind} epoch {epoch} batch {b}: loss is {total}")
             params = adam_step(params, grads, state)
             model.set_params(params)
             batch_losses.append(total)
         loss = float(np.mean(np.array(batch_losses, dtype=np.float64)))
         log.add(epoch, loss, accuracy_fn(model), time.perf_counter() - t0)
-    return state, log
+    return log
 
 
 def _sample(n: int, cap: int = 256) -> slice:
@@ -317,7 +327,7 @@ def _threshold_accuracy_fn(x: np.ndarray, y: np.ndarray, batch_size: int, thresh
 
 def _train_autoencoder(
     cfg: RunConfig, feats_scaled: np.ndarray, *, path: tuple[int, ...]
-) -> tuple[CompiledModel, AdamState, TrainLog]:
+) -> tuple[CompiledModel, TrainLog]:
     spec = build_frnet1(
         feature_count=feats_scaled.shape[1],
         orientation=cfg.orientation,
@@ -328,18 +338,18 @@ def _train_autoencoder(
     )
     model = compile_model(spec, init_seed=derive_key(cfg.seed, *path))
     x = as_images(feats_scaled, cfg.orientation)
-    state, log = _train(
+    log = _train(
         model, x, feats_scaled,
         epochs=cfg.epochs_ae, batch_size=cfg.batch_size, lr=cfg.lr,
         master_seed=cfg.seed, path=path,
         accuracy_fn=_recon_accuracy_fn(x, feats_scaled, cfg.batch_size),
     )
-    return model, state, log
+    return model, log
 
 
 def _train_classifier(
     cfg: RunConfig, rep: np.ndarray, labels: np.ndarray, *, path: tuple[int, ...]
-) -> tuple[CompiledModel, AdamState, TrainLog]:
+) -> tuple[CompiledModel, TrainLog]:
     spec = build_frnet2(
         feature_count=rep.shape[1],
         hidden=cfg.clf_hidden,
@@ -350,13 +360,13 @@ def _train_classifier(
     model = compile_model(spec, init_seed=derive_key(cfg.seed, *path))
     x = as_square_images(rep)
     y = labels.astype(np.float32).reshape(-1, 1)
-    state, log = _train(
+    log = _train(
         model, x, y,
         epochs=cfg.epochs_clf, batch_size=cfg.batch_size, lr=cfg.lr,
         master_seed=cfg.seed, path=path,
         accuracy_fn=_threshold_accuracy_fn(x, labels, cfg.batch_size, cfg.threshold),
     )
-    return model, state, log
+    return model, log
 
 
 def _model_state(
@@ -418,7 +428,7 @@ def cmd_train_ae(cfg: RunConfig, dataset: Dataset | None = None) -> dict:
     d = _resolve_dataset(cfg, dataset)
     record = fit_scaling(d.features)
     scaled = apply_scaling(d.features, record)
-    model, _, log = _train_autoencoder(cfg, scaled, path=(_STAGE_GLOBAL_AE,))
+    model, log = _train_autoencoder(cfg, scaled, path=(_STAGE_GLOBAL_AE,))
     out = _ensure_out_dir(cfg)
     ckpt_path = os.path.join(out, "ae.ckpt")
     log_path = os.path.join(out, "ae_train_log.tsv")
@@ -453,7 +463,7 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
     """Train the classifier on an extracted-feature file; write checkpoint and log."""
     cfg.validate()
     d = read_feature_file(features_path)
-    model, _, log = _train_classifier(
+    model, log = _train_classifier(
         cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0)
     )
     out = _ensure_out_dir(cfg)
@@ -479,7 +489,7 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
     if cfg.global_ae:
         global_record = fit_scaling(d.features)
         scaled_all = apply_scaling(d.features, global_record)
-        global_model, _, glog = _train_autoencoder(cfg, scaled_all, path=(_STAGE_GLOBAL_AE,))
+        global_model, glog = _train_autoencoder(cfg, scaled_all, path=(_STAGE_GLOBAL_AE,))
         glog.write(os.path.join(logs_dir, "ae_global.tsv"))
         checkpoint.save(
             _model_state(global_model, cfg, global_record),
@@ -555,7 +565,7 @@ def _run_fold(
         ae = global_model
     else:
         record = fit_scaling(d.features[train_idx])
-        ae, _, ae_log = _train_autoencoder(
+        ae, ae_log = _train_autoencoder(
             cfg, apply_scaling(d.features[train_idx], record), path=(_STAGE_AE, r, f)
         )
         ae_log.write(os.path.join(logs_dir, f"ae_r{r}_f{f}.tsv"))
@@ -571,7 +581,7 @@ def _run_fold(
         ae, as_images(apply_scaling(d.features[test_idx], record), (h, w))
     )
 
-    clf, _, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
+    clf, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
     clf_log.write(os.path.join(logs_dir, f"clf_r{r}_f{f}.tsv"))
     clf_ckpt = os.path.join(models_dir, f"clf_r{r}_f{f}.ckpt")
     checkpoint.save(_model_state(clf, cfg, None), clf_ckpt)

@@ -1,4 +1,4 @@
-"""Dense n-dimensional float32 tensors and their shape algebra.
+"""Dense n-dimensional float32 tensors.
 
 Layout contract: row-major (C order); 4-D activation tensors are
 [batch, height, width, channels]. Values are 32-bit floats. A float64
@@ -111,70 +111,3 @@ class Tensor:
     def __hash__(self):
         return hash((self.shape, self._a.tobytes()))
 
-
-def reshape(t: Tensor, shape: Shape) -> Tensor:
-    """Reinterpret t with a new shape; element count and order are preserved."""
-    shape = check_shape(shape)
-    if t.size != math.prod(shape):
-        raise ShapeMismatchError(
-            f"cannot reshape {t.size} elements into {shape} ({math.prod(shape)} elements)"
-        )
-    return Tensor._wrap(t.data.reshape(shape))
-
-
-_ELEMENTWISE = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Apply add/sub/mul element by element. No broadcasting: shapes must match."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"elementwise {op}: shapes {a.shape} and {b.shape} differ")
-    return Tensor._wrap(_ELEMENTWISE[op](a.data, b.data))
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "mul")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 tensors.
-
-    Accumulation is delegated to BLAS at the operand precision (float32 for
-    float32 operands); results are rounded to the operand dtype.
-    """
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return Tensor._wrap(a.data @ b.data)
-
-
-def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Concatenate rank-4 tensors along the channel axis, preserving order."""
-    if not parts:
-        raise ShapeMismatchError("concat_channels requires at least one part")
-    first = parts[0].shape
-    if len(first) != 4:
-        raise ShapeMismatchError(f"concat_channels expects rank-4 parts, got {first}")
-    for p in parts[1:]:
-        if len(p.shape) != 4 or p.shape[:3] != first[:3]:
-            raise ShapeMismatchError(
-                f"concat_channels: batch/height/width must match, got {first} and {p.shape}"
-            )
-    if len(parts) == 1:
-        return parts[0]
-    return Tensor._wrap(np.concatenate([p.data for p in parts], axis=3))

@@ -1,12 +1,25 @@
-"""Shared test helpers: a finite-difference gradient checker for graph ops."""
+"""Shared test helpers: one-op graph evaluation, a finite-difference gradient
+checker for graph ops, and the settings of the fuzz tests."""
 
 import numpy as np
+from hypothesis import settings
 
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.tensor import Tensor
 
 GRAD_STEP = 1e-3
 GRAD_TOL = 1e-4
+
+# fuzz tests stay deterministic and bounded: same examples every run
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+
+def run_op(kind: str, *inputs, mode: str = EVAL, dropout_seed: int = 0, **attrs) -> np.ndarray:
+    """Forward value of a one-op graph: `kind` applied to float32 copies of inputs."""
+    g = Graph()
+    args = [g.parameter(f"p{i}", Tensor(x)) for i, x in enumerate(inputs)]
+    node = g.apply(kind, args, **attrs)
+    return g.forward({}, mode=mode, dropout_seed=dropout_seed, outputs=[node])[node].data
 
 
 def op_gradcheck(

@@ -1,12 +1,16 @@
 """Checkpoint format: round-trips, determinism, fail-closed loading."""
 
+import copy
 import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import FUZZ
 from frnet.checkpoint import MAGIC, VERSION, ModelState, load, save
 from frnet.errors import CheckpointError
 from frnet.models import (
@@ -23,25 +27,13 @@ def _small_spec():
     return build_frnet1(feature_count=48, orientation=(7, 7), hidden=(32, 16))
 
 
-def _state(seed=5, with_optimizer=False, with_scaling=False):
+def _state(seed=5, with_scaling=False):
     spec = _small_spec()
     rng = np.random.default_rng(seed)
     params = {
         name: rng.standard_normal(shape).astype(np.float32)
         for name, shape in parameter_manifest(spec).items()
     }
-    optimizer = None
-    if with_optimizer:
-        optimizer = {
-            "t": 17,
-            "lr": 0.001,
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "epsilon": 1e-8,
-            "m": {n: rng.standard_normal(p.shape) for n, p in params.items()},
-            "v": {n: rng.random(p.shape) for n, p in params.items()},
-            "master": {n: p.astype(np.float64) for n, p in params.items()},
-        }
     scaling = None
     if with_scaling:
         scaling = (
@@ -53,14 +45,13 @@ def _state(seed=5, with_optimizer=False, with_scaling=False):
         params=params,
         seed=seed,
         config_digest="cafe" * 4,
-        optimizer=optimizer,
         scaling=scaling,
         extras={"epochs": 3},
     )
 
 
 def test_round_trip_is_bitwise(tmp_path):
-    state = _state(with_optimizer=True, with_scaling=True)
+    state = _state(with_scaling=True)
     path = str(tmp_path / "model.ckpt")
     save(state, path)
     back = load(path)
@@ -70,12 +61,6 @@ def test_round_trip_is_bitwise(tmp_path):
     assert list(back.params) == list(state.params)
     for n, p in state.params.items():
         assert back.params[n].tobytes() == p.tobytes()
-    for slot in ("m", "v", "master"):
-        for n in state.params:
-            got = back.optimizer[slot][n]
-            want = np.ascontiguousarray(state.optimizer[slot][n], dtype=np.float64)
-            assert got.tobytes() == want.tobytes()
-    assert back.optimizer["t"] == 17
     assert back.scaling[0].tobytes() == state.scaling[0].tobytes()
     assert back.scaling[1].tobytes() == state.scaling[1].tobytes()
 
@@ -200,11 +185,18 @@ def _first_param(field, value):
     return mutate
 
 
+def _spec_layer(name, field, value):
+    def mutate(header):
+        layer = next(ld for ld in header["spec"]["layers"] if ld["name"] == name)
+        layer[field] = value
+        return header
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         _drop("params"),
-        _drop("optimizer"),
         _drop("scaling"),
         _drop("spec"),
         _drop("seed"),
@@ -214,21 +206,27 @@ def _first_param(field, value):
         _first_param("shape", "3x3"),
         _first_param("shape", [3, -1]),
         _first_param("name", 7),
-        _put("optimizer", {"t": "17"}),
         _put("scaling", {"width": 1.5}),
+        _put("scaling", {"width": -3}),
         _put("spec", []),
         _put("spec", {"model_kind": "frnet1"}),
         _put("seed", "5"),
         _put("config_digest", 12),
         _put("extras", [1]),
         lambda header: [header],
+        _spec_layer("conv1", "stride", 0),
+        _spec_layer("pool1", "stride", -2),
+        _spec_layer("fc1", "activation", "bce"),
+        _spec_layer("conv1", "l2_scale", "0.1"),
+        _spec_layer("drop", "keep_prob", 0),
     ],
     ids=[
-        "no-params", "no-optimizer", "no-scaling", "no-spec", "no-seed", "no-config-digest",
+        "no-params", "no-scaling", "no-spec", "no-seed", "no-config-digest",
         "params-object", "params-entry-string", "shape-string", "shape-negative",
-        "name-number", "optimizer-t-string", "scaling-width-float", "spec-list",
+        "name-number", "scaling-width-float", "scaling-width-negative", "spec-list",
         "spec-without-layers", "seed-string", "config-digest-number", "extras-list",
-        "header-list",
+        "header-list", "spec-conv-stride-zero", "spec-pool-stride-negative",
+        "spec-activation-bce", "spec-l2-scale-string", "spec-keep-prob-zero",
     ],
 )
 def test_malformed_header_schema_is_a_checkpoint_error(tmp_path, mutate):
@@ -285,3 +283,68 @@ def test_loaded_parameters_drive_identical_extraction(tmp_path):
     fresh.set_params({n: Tensor(a) for n, a in back.params.items()})
     after = extract_features(fresh, x)
     assert after.tobytes() == before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a spec edited at random either loads or is a CheckpointError
+
+# small integers and the spec's own words make edits that still load likely
+_spec_words = st.sampled_from(["relu", "sigmoid", "none", "tanh", "in", "conv1", "pool1", "fc1"])
+
+
+def _containers(kids):
+    return st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.integers() | st.floats()
+    | _spec_words | st.text(max_size=8),
+    _containers,
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _edited_specs(draw):
+    spec = copy.deepcopy(spec_to_dict(_small_spec()))
+    rnd = draw(st.randoms(use_true_random=False))  # uniform over paths, unlike sampled_from
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(spec))[1:]
+        if not paths:
+            break
+        path = rnd.choice(paths)
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return spec
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "base.ckpt")
+    save(_state(with_scaling=True), path)
+    return path, open(path, "rb").read()
+
+
+@FUZZ
+@given(spec=_edited_specs())
+def test_fuzzed_spec_loads_or_is_a_checkpoint_error(fuzz_checkpoint, spec):
+    path, blob = fuzz_checkpoint
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    _rewrite_header(path, _put("spec", spec))
+    try:
+        load(path)
+    except CheckpointError:
+        pass

@@ -71,6 +71,18 @@ class TestExitCodes:
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_is_a_runtime_failure(self, tmp_path, capsys):
+        data = tmp_path / "blobs64.tsv"
+        write_feature_file(str(data), synth_blobs(n=64, width=255, seed=0))
+        rc = main(["train-ae", "--dataset-path", str(data), "--orientation", "16x16",
+                   "--ae-hidden", "64,32", "--epochs-ae", "3", "--batch-size", "32",
+                   "--lr", "1e12", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: frnet1 epoch" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "ae.ckpt").exists()
+
 
 class TestCommands:
     def test_ingest_prints_statistics(self, dataset_file, capsys):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import FUZZ
 from frnet.data import (
     DELIMITED,
     SPARSE,
@@ -16,9 +19,7 @@ from frnet.data import (
     imbalance_ratio,
     load_dataset,
     make_folds,
-    pad_and_reshape,
     read_feature_file,
-    scale_minmax,
     subset,
     write_feature_file,
 )
@@ -229,14 +230,6 @@ def test_scaling_record_never_reads_held_out_fold():
     assert rec.maxs.tobytes() == rec2.maxs.tobytes()
 
 
-def test_scale_minmax_fits_or_reuses():
-    d = _dataset(8, 3, width=3, seed=9)
-    scaled = scale_minmax(d)
-    assert scaled.scaling is not None
-    again = scale_minmax(d, scaled.scaling)
-    assert np.array_equal(again.features, scaled.features)
-
-
 def test_scaling_record_validation():
     with pytest.raises(DataError):
         ScalingRecord(np.array([1.0]), np.array([0.0]))
@@ -248,44 +241,49 @@ def test_scaling_record_validation():
 # padding and reshaping
 
 
+def _image(vec, orientation=(211, 7)):
+    # one row through as_images: [d] -> [h, w, 1]
+    return as_images(np.asarray(vec, dtype=np.float32)[None, :], orientation)[0]
+
+
 def test_pad_zero_vector():
-    t = pad_and_reshape(np.zeros(1476, dtype=np.float32))
-    assert t.shape == (1, 211, 7, 1)
-    assert not t.data.any()
+    img = _image(np.zeros(1476))
+    assert img.shape == (211, 7, 1)
+    assert not img.any()
 
 
 def test_pad_appends_single_zero_last():
     feats = np.arange(1, 1477, dtype=np.float32)
-    t = pad_and_reshape(feats)
-    flat = t.ravel()
+    flat = _image(feats).reshape(-1)
     assert flat[1476] == 0.0
     assert np.array_equal(flat[:1476], feats)
 
 
 def test_orientation_follows_row_major_index_rule():
     feats = np.arange(1, 1477, dtype=np.float32)
-    tall = pad_and_reshape(feats, (211, 7)).data
-    wide = pad_and_reshape(feats, (7, 211)).data
+    tall = _image(feats, (211, 7))
+    wide = _image(feats, (7, 211))
     padded = np.concatenate([feats, [0.0]])
     rng = np.random.default_rng(2)
     for k in rng.integers(0, 1477, size=60):
-        assert tall[0, k // 7, k % 7, 0] == padded[k]
-        assert wide[0, k // 211, k % 211, 0] == padded[k]
+        assert tall[k // 7, k % 7, 0] == padded[k]
+        assert wide[k // 211, k % 211, 0] == padded[k]
 
 
 def test_pad_is_injective():
     a = np.zeros(1476, dtype=np.float32)
     b = a.copy()
     b[701] = 1e-6
-    ta, tb = pad_and_reshape(a), pad_and_reshape(b)
-    assert ta != tb
+    assert not np.array_equal(_image(a), _image(b))
 
 
 def test_pad_width_errors():
     with pytest.raises(ShapeMismatchError):
-        pad_and_reshape(np.zeros(1475, dtype=np.float32))
+        _image(np.zeros(1475))
     with pytest.raises(ShapeMismatchError):
-        pad_and_reshape(np.zeros((2, 1476), dtype=np.float32))
+        as_images(np.zeros(1476, dtype=np.float32), (211, 7))
+    with pytest.raises(ShapeMismatchError):
+        as_images(np.zeros((2, 2, 1476), dtype=np.float32), (211, 7))
 
 
 def test_as_images_matches_rowwise_pad():
@@ -294,7 +292,7 @@ def test_as_images_matches_rowwise_pad():
     imgs = as_images(feats, (7, 7))
     assert imgs.shape == (5, 7, 7, 1)
     for i in range(5):
-        assert np.array_equal(imgs[i], pad_and_reshape(feats[i], (7, 7)).data[0])
+        assert np.array_equal(imgs[i, :, :, 0], np.append(feats[i], 0).reshape(7, 7))
 
 
 def test_as_square_images():
@@ -388,3 +386,56 @@ def test_feature_file_round_trip_is_bitwise(tmp_path):
     assert back.features.tobytes() == d.features.tobytes()
     assert back.labels.tolist() == d.labels.tolist()
     assert back.drug_ids == d.drug_ids and back.target_ids == d.target_ids
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any file content either loads or is a DataError
+
+_fields = st.one_of(
+    st.sampled_from(["0", "1", "-0", "2", "1e39", "nan", "inf", "d1", "", "#"]),
+    st.floats().map(repr),
+    st.builds("{}:{}".format, st.integers(-1, 70), st.floats(-2, 2)),
+)
+
+
+@st.composite
+def _rows(draw):
+    sep = draw(st.sampled_from(["\t", ",", " "]))
+    rows = draw(st.lists(st.lists(_fields, min_size=1, max_size=5), min_size=1, max_size=6))
+    return "\n".join(sep.join(row) for row in rows).encode()
+
+
+# bytes that are not UTF-8, arbitrary text, and rows of the formats' own tokens
+_contents = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    _rows(),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "data.txt")
+
+
+@FUZZ
+@given(raw=_contents, feature_count=st.none() | st.integers(1, 64))
+def test_fuzzed_delimited_file_loads_or_is_a_data_error(fuzz_path, raw, feature_count):
+    with open(fuzz_path, "wb") as fh:
+        fh.write(raw)
+    try:
+        load_dataset(fuzz_path, format=DELIMITED, feature_count=feature_count)
+    except DataError:
+        pass
+
+
+@FUZZ
+@given(raw=_contents, feature_count=st.integers(1, 64))
+def test_fuzzed_sparse_file_loads_or_is_a_data_error(fuzz_path, raw, feature_count):
+    # a declared width bounds the matrix; an inferred one follows the largest index
+    with open(fuzz_path, "wb") as fh:
+        fh.write(raw)
+    try:
+        load_dataset(fuzz_path, format=SPARSE, feature_count=feature_count)
+    except DataError:
+        pass

@@ -1,4 +1,4 @@
-"""Network builders: shape traces, parameter counts, extraction, accuracy."""
+"""Network builders: shape traces, parameter counts, extraction."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,9 @@ from frnet.models import (
     infer_shapes,
     parameter_count,
     parameter_manifest,
-    reconstruction_accuracy,
     spec_from_dict,
     spec_to_dict,
 )
-from frnet.tensor import Tensor
 
 FRNET1_TRACE = {
     "in": (211, 7, 1),
@@ -181,28 +179,6 @@ def test_train_step_returns_gradients_for_all_parameters():
     total, data, grads = model.train_step_grads(x, y, dropout_seed=1)
     assert set(grads) == set(model.params())
     assert total >= data > 0.0
-
-
-def test_reconstruction_accuracy_examples():
-    t = Tensor([[1.0, 0.0, 1.0, 0.0]])
-    assert reconstruction_accuracy(t, t) == 1.0
-    flipped = Tensor([[0.0, 1.0, 0.0, 1.0]])
-    assert reconstruction_accuracy(flipped, t) == 0.0
-    with pytest.raises(ShapeMismatchError):
-        reconstruction_accuracy(Tensor([[0.5]]), t)
-
-
-def test_reconstruction_accuracy_matches_counting_oracle():
-    rng = np.random.default_rng(9)
-    pred = rng.random((4, 25)).astype(np.float32)
-    target = rng.random((4, 25)).astype(np.float32)
-    got = reconstruction_accuracy(Tensor(pred), Tensor(target))
-    agree = sum(
-        1
-        for p, t in zip(pred.ravel().tolist(), target.ravel().tolist())
-        if (p >= 0.5) == (t >= 0.5)
-    )
-    assert got == agree / 100
 
 
 def test_spec_dict_round_trip():

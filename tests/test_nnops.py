@@ -1,4 +1,4 @@
-"""Neural operators: SAME padding, forward oracles, gradient checks."""
+"""Neural operators as one-op graphs: SAME padding, forward oracles, gradient checks."""
 
 import math
 import tracemalloc
@@ -6,22 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck
-from frnet.autodiff import Graph
-from frnet.errors import ShapeMismatchError
-from frnet.nnops import (
-    Conv2DSpec,
-    PoolSpec,
-    conv2d,
-    dense,
-    dropout,
-    flatten,
-    maxpool2d,
-    relu,
-    same_pad,
-    sigmoid,
-)
-from frnet.tensor import Tensor, reshape
+from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck, run_op
+from frnet.autodiff import EVAL, TRAIN, Graph
+from frnet.errors import GraphError, ShapeMismatchError
+from frnet.models import Conv, Input, NetworkSpec, infer_shapes
+from frnet.nnops import same_pad
+from frnet.tensor import Tensor
 
 
 def _pad_oracle(extent, filt, stride):
@@ -79,53 +69,52 @@ def test_conv2d_matches_sliding_window_oracle():
         x = rng.standard_normal(shape).astype(np.float32)
         w = rng.standard_normal(fshape).astype(np.float32)
         b = rng.standard_normal(fshape[3]).astype(np.float32)
-        spec = Conv2DSpec(fshape[0], fshape[1], fshape[3], stride=stride, activation="none")
-        got = conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
+        got = run_op("conv2d", x, w, b, stride=stride)
         want = _conv_oracle(x, w, stride) + b
         # magnitude-relative: per-element ratios blow up at zero crossings
         assert np.max(np.abs(got - want)) < 1e-5 * max(np.max(np.abs(want)), 1.0)
 
 
 def test_conv2d_paper_entry_shape():
-    spec = Conv2DSpec(1, 1, 32, stride=2)
-    x = Tensor.zeros((2, 211, 7, 1))
-    w = Tensor.zeros((1, 1, 1, 32))
-    out = conv2d(x, spec, w, Tensor.zeros((32,)))
+    out = run_op("conv2d", np.zeros((2, 211, 7, 1)), np.zeros((1, 1, 1, 32)), np.zeros(32), stride=2)
     assert out.shape == (2, 106, 4, 32)
 
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((1, 4, 3, 1)).astype(np.float32))
-    spec = Conv2DSpec(1, 1, 1, stride=1, activation="none")
-    out = conv2d(x, spec, Tensor([[[[1.0]]]]), Tensor([0.0]))
-    assert np.array_equal(out.data, x.data)
+    x = rng.standard_normal((1, 4, 3, 1)).astype(np.float32)
+    out = run_op("conv2d", x, np.ones((1, 1, 1, 1)), np.zeros(1), stride=1)
+    assert np.array_equal(out, x)
 
 
 def test_conv2d_zero_weights_give_zeros():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((2, 6, 5, 3)).astype(np.float32))
-    spec = Conv2DSpec(3, 3, 4, stride=1, activation="none")
-    out = conv2d(x, spec, Tensor.zeros((3, 3, 3, 4)), Tensor.zeros((4,)))
-    assert not out.data.any()
+    x = rng.standard_normal((2, 6, 5, 3)).astype(np.float32)
+    out = run_op("conv2d", x, np.zeros((3, 3, 3, 4)), np.zeros(4), stride=1)
+    assert not out.any()
 
 
 def test_conv2d_relu_activation_and_channel_mismatch():
-    x = Tensor.full((1, 2, 2, 1), -1.0)
-    spec = Conv2DSpec(1, 1, 1, stride=1, activation="relu")
-    out = conv2d(x, spec, Tensor([[[[1.0]]]]), Tensor([0.0]))
-    assert not out.data.any()
+    conv = run_op("conv2d", np.full((1, 2, 2, 1), -1.0), np.ones((1, 1, 1, 1)), np.zeros(1), stride=1)
+    assert not run_op("relu", conv).any()
     with pytest.raises(ShapeMismatchError):
-        conv2d(Tensor.zeros((1, 2, 2, 2)), spec, Tensor([[[[1.0]]]]), Tensor([0.0]))
+        run_op("conv2d", np.zeros((1, 2, 2, 2)), np.ones((1, 1, 1, 1)), np.zeros(1), stride=1)
 
 
 def test_conv2d_spec_validation():
-    with pytest.raises(ValueError):
-        Conv2DSpec(0, 1, 4)
-    with pytest.raises(ValueError):
-        Conv2DSpec(1, 1, 4, stride=1, activation="tanh")
-    with pytest.raises(ValueError):
-        Conv2DSpec(1, 1, 4, l2_scale=-0.1)
+    # conv layer specs are checked by infer_shapes, which builders and loads run
+    def conv_spec(**overrides):
+        fields = dict(filter_height=1, filter_width=1, out_channels=4, stride=1,
+                      activation="relu", l2_scale=0.0)
+        fields.update(overrides)
+        conv = Conv("conv", ("in",), **fields)
+        return NetworkSpec("frnet1", (Input("in", (), (4, 4, 1)), conv))
+
+    infer_shapes(conv_spec())
+    for bad in (dict(filter_height=0), dict(stride=0), dict(out_channels=-1),
+                dict(filter_width=1.5), dict(activation="tanh"), dict(l2_scale=-0.1)):
+        with pytest.raises(ShapeMismatchError):
+            infer_shapes(conv_spec(**bad))
 
 
 def _pool_oracle(x, k, stride):
@@ -150,90 +139,90 @@ def test_maxpool_matches_window_oracle_exactly():
     rng = np.random.default_rng(31)
     for shape, k, s in [((1, 5, 5, 2), 2, 2), ((2, 7, 3, 1), 3, 2), ((1, 4, 6, 3), 2, 3)]:
         x = rng.standard_normal(shape).astype(np.float32)
-        got = maxpool2d(Tensor(x), PoolSpec(kernel=k, stride=s)).data
+        got = run_op("maxpool2d", x, kernel=k, stride=s)
         assert np.array_equal(got, _pool_oracle(x, k, s).astype(np.float32))
 
 
 def test_maxpool_paper_shape_and_identity():
-    out = maxpool2d(Tensor.zeros((3, 106, 4, 32)), PoolSpec(kernel=2, stride=2))
+    out = run_op("maxpool2d", np.zeros((3, 106, 4, 32)), kernel=2, stride=2)
     assert out.shape == (3, 53, 2, 32)
     rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((2, 53, 2, 32)).astype(np.float32))
-    assert maxpool2d(x, PoolSpec(kernel=1, stride=1)) == x
+    x = rng.standard_normal((2, 53, 2, 32)).astype(np.float32)
+    assert np.array_equal(run_op("maxpool2d", x, kernel=1, stride=1), x)
 
 
 def test_maxpool_dominates_window_elements():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 6, 6, 2)).astype(np.float32)
-    out = maxpool2d(Tensor(x), PoolSpec(kernel=2, stride=2)).data
+    out = run_op("maxpool2d", x, kernel=2, stride=2)
     # every strictly-inside element is <= the covering output cell
     for i in range(6):
         for j in range(6):
             assert np.all(x[:, i, j, :] <= out[:, i // 2, j // 2, :])
 
 
+def _dense(x, w, b):
+    return run_op("bias_add", run_op("matmul", x, w), b)
+
+
 def test_dense_identity_sigmoid_and_oracle():
-    x = Tensor([[1.0, -2.0, 3.0]])
-    out = dense(x, Tensor(np.eye(3, dtype=np.float32)), Tensor.zeros((3,)))
-    assert out == x
-    z = dense(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([0.0]), activation="sigmoid")
+    x = np.array([[1.0, -2.0, 3.0]], dtype=np.float32)
+    assert np.array_equal(_dense(x, np.eye(3), np.zeros(3)), x)
+    z = run_op("sigmoid", _dense(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1)))
     assert z.tolist() == [[0.5]]
     rng = np.random.default_rng(14)
     xs = rng.standard_normal((3, 8)).astype(np.float32)
     ws = rng.standard_normal((8, 4)).astype(np.float32)
     bs = rng.standard_normal(4).astype(np.float32)
-    got = dense(Tensor(xs), Tensor(ws), Tensor(bs)).data
     want = xs.astype(np.float64) @ ws.astype(np.float64) + bs
-    assert np.max(np.abs(got - want)) < 1e-5
+    assert np.max(np.abs(_dense(xs, ws, bs) - want)) < 1e-5
 
 
 def test_dense_shape_error():
     with pytest.raises(ShapeMismatchError):
-        dense(Tensor.zeros((2, 3)), Tensor.zeros((4, 2)), Tensor.zeros((2,)))
+        run_op("matmul", np.zeros((2, 3)), np.zeros((4, 2)))
+    with pytest.raises(ShapeMismatchError):
+        run_op("bias_add", np.zeros((2, 3)), np.zeros(2))
 
 
 def test_dropout_identity_cases():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((5, 5)).astype(np.float32))
-    assert dropout(x, 1.0, seed=3, mode="train") == x
-    assert dropout(x, 0.5, seed=3, mode="eval") == x
-    assert dropout(x, 0.5, seed=99, mode="eval") == x
+    x = rng.standard_normal((5, 5)).astype(np.float32)
+    assert np.array_equal(run_op("dropout", x, keep_prob=1.0, mode=TRAIN, dropout_seed=3), x)
+    assert np.array_equal(run_op("dropout", x, keep_prob=0.5, mode=EVAL, dropout_seed=3), x)
+    assert np.array_equal(run_op("dropout", x, keep_prob=0.5, mode=EVAL, dropout_seed=99), x)
 
 
 def test_dropout_mean_concentration():
-    x = Tensor(np.ones(10_000, dtype=np.float32))
-    out = dropout(x, 0.5, seed=7, mode="train")
-    assert 0.94 <= float(out.data.mean()) <= 1.06
+    out = run_op("dropout", np.ones(10_000), keep_prob=0.5, mode=TRAIN, dropout_seed=7)
+    assert 0.94 <= float(out.mean()) <= 1.06
     # survivors are scaled by 1/keep_prob
-    kept = out.data[out.data != 0]
-    assert np.all(kept == 2.0)
+    assert np.all(out[out != 0] == 2.0)
 
 
 def test_dropout_rejects_bad_keep_prob():
-    x = Tensor([1.0])
     for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            dropout(x, bad, seed=0, mode="train")
+        for mode in (TRAIN, EVAL):
+            with pytest.raises(GraphError):
+                run_op("dropout", np.array([1.0]), keep_prob=bad, mode=mode)
 
 
 def test_flatten_row_major_and_inverse():
-    x = Tensor([1.0, 2.0, 3.0, 4.0], shape=(1, 2, 2, 1))
-    flat = flatten(x)
+    flat = run_op("flatten", np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
     assert flat.shape == (1, 4)
     assert flat.tolist() == [[1.0, 2.0, 3.0, 4.0]]
     assert 53 * 2 * 192 == 20352
-    wide = Tensor.zeros((3, 53, 2, 192))
-    assert flatten(wide).shape == (3, 20352)
+    assert run_op("flatten", np.zeros((3, 53, 2, 192))).shape == (3, 20352)
     rng = np.random.default_rng(16)
-    t = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
-    assert reshape(flatten(t), (2, 3, 4, 5)) == t
+    t = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    assert np.array_equal(run_op("reshape", run_op("flatten", t), item_shape=(3, 4, 5)), t)
     with pytest.raises(ShapeMismatchError):
-        flatten(Tensor.zeros((2, 3)))
+        run_op("flatten", np.zeros((2, 3)))
 
 
 def test_activation_helpers():
-    assert relu(Tensor([-2.0, 0.0, 3.0])).tolist() == [0.0, 0.0, 3.0]
-    s = sigmoid(Tensor([0.0, 100.0, -100.0])).data
+    assert run_op("relu", np.array([-2.0, 0.0, 3.0])).tolist() == [0.0, 0.0, 3.0]
+    s = run_op("sigmoid", np.array([0.0, 100.0, -100.0]))
     assert s[0] == 0.5 and 0.999 < s[1] <= 1.0 and 0.0 <= s[2] < 0.001
 
 

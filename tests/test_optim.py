@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import scalar_adam_reference
-from frnet.errors import ShapeMismatchError
-from frnet.optim import AdamState, LossConfig, adam_step, bce_loss, total_loss
+from frnet.errors import GraphError, ShapeMismatchError
+from frnet.models import build_frnet1, compile_model
+from frnet.optim import AdamState, adam_step, bce_loss
 from frnet.tensor import CHUNK, Tensor
 
 
@@ -217,22 +218,22 @@ def test_bce_is_minimized_only_at_the_target():
 def test_bce_errors():
     with pytest.raises(ShapeMismatchError):
         bce_loss(Tensor([0.5, 0.5]), Tensor([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError):
         bce_loss(Tensor([float("nan")]), Tensor([1.0]))
 
 
-def test_total_loss_composition():
-    assert total_loss(0.5, []) == 0.5
-    assert abs(total_loss(0.5, [0.1, 0.2]) - 0.8) < 1e-12
-    w = Tensor([[1.0, -2.0], [0.5, 3.0]])
-    penalty = 0.001 * float(np.sum(np.square(w.data, dtype=np.float64)))
-    assert abs(penalty - 0.001 * (1.0 + 4.0 + 0.25 + 9.0)) < 1e-12
-    assert abs(total_loss(0.25, [penalty]) - (0.25 + 0.01425)) < 1e-12
-
-
-def test_loss_config_defaults_and_validation():
-    cfg = LossConfig()
-    assert cfg.kind == "binary-crossentropy"
-    assert cfg.l2_scale == 0.001 and cfg.eps_clip == 1e-7
-    with pytest.raises(ValueError):
-        LossConfig(l2_scale=-1.0)
+def test_compiled_loss_is_bce_plus_l2_penalties():
+    # the compiled loss is the BCE data loss plus scale * sum(w^2) for every weight
+    spec = build_frnet1(feature_count=48, orientation=(7, 7), hidden=(16, 8), l2_scale=0.001)
+    model = compile_model(spec, init_seed=3)
+    rng = np.random.default_rng(0)
+    x = rng.random((4, 7, 7, 1), dtype=np.float32)
+    y = rng.random((4, 48), dtype=np.float32)
+    total, data, _ = model.train_step_grads(x, y, dropout_seed=1)
+    penalty = sum(
+        0.001 * float(np.sum(np.square(t.data, dtype=np.float64)))
+        for name, t in model.params().items()
+        if name.endswith("/w")
+    )
+    assert penalty > 0.0
+    assert abs(total - (data + penalty)) < 1e-5 * total

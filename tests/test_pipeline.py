@@ -30,6 +30,8 @@ from frnet.pipeline import (
     RunConfig,
     TrainLog,
     _STAGE_GLOBAL_AE,
+    _recon_accuracy_fn,
+    _train,
     cmd_cv_run,
     cmd_extract,
     cmd_ingest,
@@ -44,6 +46,7 @@ from frnet.pipeline import (
 )
 from frnet.rng import FOLDS, derive_key
 from frnet.synth import synth_blobs
+from frnet.tensor import Tensor
 
 
 def tiny_cfg(out_dir, **overrides) -> RunConfig:
@@ -220,6 +223,50 @@ class TestTrainLog:
 
 
 # ---------------------------------------------------------------------------
+# training loop
+
+
+class _Echo:
+    """Stands in for a CompiledModel whose predictions are its inputs."""
+
+    def predict(self, x):
+        return x
+
+
+def test_recon_accuracy_examples():
+    t = np.array([[1.0, 0.0, 1.0, 0.0]], dtype=np.float32)
+    assert _recon_accuracy_fn(t, t, batch_size=4)(_Echo()) == 1.0
+    assert _recon_accuracy_fn(1.0 - t, t, batch_size=4)(_Echo()) == 0.0
+
+
+def test_recon_accuracy_matches_counting_oracle():
+    rng = np.random.default_rng(9)
+    pred = rng.random((4, 25)).astype(np.float32)
+    target = rng.random((4, 25)).astype(np.float32)
+    got = _recon_accuracy_fn(pred, target, batch_size=3)(_Echo())
+    agree = sum(
+        1
+        for p, t in zip(pred.ravel().tolist(), target.ravel().tolist())
+        if (p >= 0.5) == (t >= 0.5)
+    )
+    assert got == agree / 100
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_fails_closed():
+    # zero inputs keep the prediction at 0.5, but the l2 term of huge output
+    # weights overflows float32, so only the total loss is not finite
+    model = compile_model(build_frnet1(feature_count=48, orientation=(7, 7), hidden=(16, 4)),
+                          init_seed=0, random_init=False)
+    model.set_params({"out/w": Tensor.full(model.params()["out/w"].shape, 1e20)})
+    x = np.zeros((4, 7, 7, 1), dtype=np.float32)
+    y = np.full((4, 48), 0.5, dtype=np.float32)
+    with pytest.raises(PipelineError, match="frnet1 epoch 0 batch 0: loss is inf"):
+        _train(model, x, y, epochs=1, batch_size=4, lr=0.001, master_seed=0, path=(1,),
+               accuracy_fn=lambda m: 0.0)
+
+
+# ---------------------------------------------------------------------------
 # individual commands
 
 
@@ -279,6 +326,14 @@ class TestTrainAutoencoder:
         in_layer = state.spec_dict["layers"][0]
         assert tuple(in_layer["item_shape"]) == orientation + (1,)
 
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_fails_closed(self, tmp_path):
+        cfg = RunConfig(orientation=(16, 16), ae_hidden=(64, 32), epochs_ae=3, batch_size=32,
+                        lr=1e12, out_dir=str(tmp_path))
+        with pytest.raises(PipelineError, match=r"frnet1 epoch \d+ batch \d+: bce"):
+            cmd_train_ae(cfg, dataset=synth_blobs(n=64, width=255, seed=0))
+        assert not os.path.exists(tmp_path / "ae.ckpt")
 
 class TestExtract:
     def test_writes_representation_file(self, trained, blobs48):

@@ -1,10 +1,12 @@
-"""Tensor construction, reshape, elementwise math, matmul, channel concat."""
+"""Tensor construction and ownership; the graph's reshape, elementwise,
+matmul and channel-concat ops against oracles."""
 
 import numpy as np
 import pytest
 
+from conftest import run_op
 from frnet.errors import ShapeMismatchError
-from frnet.tensor import Tensor, add, concat_channels, elementwise, matmul, mul, reshape, sub
+from frnet.tensor import Tensor
 
 
 def test_construction_and_flat_order():
@@ -45,58 +47,57 @@ def test_wrap_takes_ownership_without_copying():
 
 
 def test_reshape_padded_instance_width():
-    t = Tensor(np.arange(1477, dtype=np.float32))
-    r = reshape(t, (1, 211, 7, 1))
+    x = np.arange(1477, dtype=np.float32).reshape(1, 1477)
+    r = run_op("reshape", x, item_shape=(211, 7, 1))
     assert r.shape == (1, 211, 7, 1)
-    assert np.array_equal(r.ravel(), t.ravel())
+    assert np.array_equal(r.reshape(-1), x.reshape(-1))
 
 
 def test_reshape_identity_and_mismatch():
-    t = Tensor([1.0, 2.0, 3.0, 4.0])
-    assert reshape(t, (4,)) == t
+    x = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
+    assert np.array_equal(run_op("reshape", x, item_shape=(4,)), x)
     with pytest.raises(ShapeMismatchError):
-        reshape(Tensor(np.arange(12, dtype=np.float32)), (5, 3))
+        run_op("reshape", np.arange(12, dtype=np.float32).reshape(1, 12), item_shape=(5, 3))
 
 
 def test_reshape_round_trip_is_identity():
     rng = np.random.default_rng(11)
-    t = Tensor(rng.standard_normal((3, 4, 5)).astype(np.float32))
-    back = reshape(reshape(t, (60,)), (3, 4, 5))
-    assert back == t
+    x = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    flat = run_op("reshape", x, item_shape=(20,))
+    assert np.array_equal(run_op("reshape", flat, item_shape=(4, 5)), x)
 
 
 def test_elementwise_examples():
-    assert add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).tolist() == [4.0, 6.0]
-    t = Tensor([[1.5, -2.0], [0.25, 7.0]])
-    assert add(t, Tensor.zeros(t.shape)) == t
-    assert sub(Tensor([5.0, 1.0]), Tensor([2.0, 4.0])).tolist() == [3.0, -3.0]
+    a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    assert run_op("add", a, b).tolist() == [4.0, 6.0]
+    t = np.array([[1.5, -2.0], [0.25, 7.0]], dtype=np.float32)
+    assert np.array_equal(run_op("add", t, np.zeros_like(t)), t)
+    assert run_op("sub", np.array([5.0, 1.0]), np.array([2.0, 4.0])).tolist() == [3.0, -3.0]
 
 
 def test_elementwise_matches_scalar_loop_exactly():
     rng = np.random.default_rng(7)
-    a = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
-    b = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+    a = rng.standard_normal((6, 5)).astype(np.float32)
+    b = rng.standard_normal((6, 5)).astype(np.float32)
     for op in ("add", "sub", "mul"):
-        got = elementwise(a, b, op).ravel()
+        got = run_op(op, a, b).reshape(-1)
         want = [
             {"add": x + y, "sub": x - y, "mul": x * y}[op]
-            for x, y in zip(a.ravel().tolist(), b.ravel().tolist())
+            for x, y in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())
         ]
         assert got.tolist() == [np.float32(v) for v in want]
 
 
 def test_elementwise_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        mul(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        elementwise(Tensor([1.0]), Tensor([1.0]), "div")
+    for op in ("add", "sub", "mul"):
+        with pytest.raises(ShapeMismatchError):
+            run_op(op, np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_matmul_identity_and_small_product():
-    m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    eye = Tensor(np.eye(3, dtype=np.float32))
-    assert matmul(eye, m) == m
-    prod = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
+    assert np.array_equal(run_op("matmul", np.eye(3), m), m)
+    prod = run_op("matmul", np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
     assert prod.tolist() == [[3.0], [7.0]]
 
 
@@ -105,7 +106,7 @@ def test_matmul_matches_triple_loop():
     for m, k, n in [(7, 5, 3), (64, 64, 64), (1, 9, 1)]:
         a = rng.standard_normal((m, k)).astype(np.float32)
         b = rng.standard_normal((k, n)).astype(np.float32)
-        got = matmul(Tensor(a), Tensor(b)).data
+        got = run_op("matmul", a, b)
         want = np.zeros((m, n), dtype=np.float64)
         for i in range(m):
             for j in range(n):
@@ -118,34 +119,32 @@ def test_matmul_matches_triple_loop():
 
 def test_matmul_shape_errors():
     with pytest.raises(ShapeMismatchError):
-        matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+        run_op("matmul", np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
     with pytest.raises(ShapeMismatchError):
-        matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
+        run_op("matmul", np.array([1.0, 2.0]), np.array([[1.0], [2.0]]))
 
 
-def test_concat_channels_inception_widths():
-    parts = [Tensor.zeros((2, 53, 2, c)) for c in (64, 64, 32, 32)]
-    out = concat_channels(parts)
-    assert out.shape == (2, 53, 2, 192)
+def test_concat_inception_widths():
+    parts = [np.zeros((2, 53, 2, c), dtype=np.float32) for c in (64, 64, 32, 32)]
+    assert run_op("concat", *parts).shape == (2, 53, 2, 192)
 
 
-def test_concat_channels_single_part_identity():
-    t = Tensor(np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4))
-    assert concat_channels([t]) == t
+def test_concat_single_part_identity():
+    t = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+    assert np.array_equal(run_op("concat", t), t)
 
 
-def test_concat_channels_spatial_mismatch():
+def test_concat_spatial_mismatch():
     with pytest.raises(ShapeMismatchError):
-        concat_channels([Tensor.zeros((2, 4, 4, 3)), Tensor.zeros((2, 5, 4, 3))])
+        run_op("concat", np.zeros((2, 4, 4, 3)), np.zeros((2, 5, 4, 3)))
 
 
 def test_concat_then_slice_recovers_parts_bitwise():
     rng = np.random.default_rng(19)
-    widths = (3, 1, 5)
-    parts = [Tensor(rng.standard_normal((2, 3, 2, c)).astype(np.float32)) for c in widths]
-    out = concat_channels(parts).data
+    parts = [rng.standard_normal((2, 3, 2, c)).astype(np.float32) for c in (3, 1, 5)]
+    out = run_op("concat", *parts)
     start = 0
     for p in parts:
         c = p.shape[3]
-        assert np.array_equal(out[:, :, :, start : start + c], p.data)
+        assert np.array_equal(out[:, :, :, start : start + c], p)
         start += c
