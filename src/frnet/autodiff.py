@@ -66,7 +66,6 @@ class Node:
     attrs: dict
     name: str
     is_parameter: bool = False
-    train_mode_sensitive: bool = False
     value: Tensor | None = None  # parameters only; runtime values live on the Graph
 
 
@@ -79,8 +78,6 @@ class Graph:
     def __post_init__(self):
         self._values: dict[int, np.ndarray] = {}
         self._saved: dict[int, object] = {}
-        self._adjoints: dict[int, np.ndarray] = {}
-        self._ran_forward = False
 
     def _add(self, op, inputs, attrs, name, is_parameter=False, value=None) -> int:
         for i in inputs:
@@ -93,7 +90,6 @@ class Graph:
             attrs=dict(attrs),
             name=name or f"{op}_{len(self.nodes)}",
             is_parameter=is_parameter,
-            train_mode_sensitive=(op == "dropout"),
             value=value,
         )
         self.nodes.append(node)
@@ -103,8 +99,8 @@ class Graph:
         """Input node; its value must be fed to every forward pass."""
         return self._add("input", (), {}, name)
 
-    def parameter(self, name: str, value: Tensor) -> int:
-        """Trainable leaf holding a float32 tensor."""
+    def parameter(self, name: str, value: Tensor | None) -> int:
+        """Trainable leaf holding a float32 tensor; None leaves it for set_parameter."""
         return self._add("param", (), {}, name, is_parameter=True, value=value)
 
     def apply(self, kind: str, inputs: list[int], name: str = "", **attrs) -> int:
@@ -124,9 +120,6 @@ class Graph:
 
     def parameters(self) -> dict[str, int]:
         return {n.name: n.id for n in self.nodes if n.is_parameter}
-
-    def placeholders(self) -> dict[str, int]:
-        return {n.name: n.id for n in self.nodes if n.op == "input"}
 
     def _ancestors(self, roots) -> set[int]:
         seen = set()
@@ -183,19 +176,16 @@ class Graph:
                 saved[node.id] = sv
         self._values = values
         self._saved = saved
-        self._adjoints = {}
-        self._ran_forward = True
         return {i: Tensor._wrap(values[i]) for i in (values if outputs is None else outputs)}
 
     def backward(self, loss_id: int) -> dict[int, Tensor]:
         """Accumulate d(loss)/d(node) for ancestors of the loss node.
 
         Returns the gradient tensor for every parameter node (zeros for
-        parameters the loss does not depend on), read-only and sharing
-        storage with the saved adjoints. Requires a prior forward pass that
-        computed the loss node.
+        parameters the loss does not depend on), read-only and uncopied.
+        Requires a prior forward pass that computed the loss node.
         """
-        if not self._ran_forward or loss_id not in self._values:
+        if loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
         loss = self._values[loss_id]
         if loss.size != 1:
@@ -219,7 +209,6 @@ class Graph:
                     adjoints[inp] = adjoints[inp] + g
                 else:
                     adjoints[inp] = g
-        self._adjoints = adjoints
         out = {}
         for node in self.nodes:
             if node.is_parameter:
@@ -233,10 +222,3 @@ class Graph:
         if node_id not in self._values:
             raise GraphError(f"node {node_id} has no value; run forward first")
         return Tensor._wrap(self._values[node_id])
-
-    def adjoint(self, node_id: int) -> Tensor:
-        """Adjoint of any node from the last backward pass (testing hook)."""
-        if node_id not in self._adjoints:
-            raise GraphError(f"node {node_id} has no adjoint; run backward first")
-        return Tensor._wrap(self._adjoints[node_id])
-

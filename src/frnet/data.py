@@ -49,7 +49,6 @@ class Dataset:
     target_ids: tuple[str, ...]
     features: np.ndarray
     labels: np.ndarray
-    scaling: ScalingRecord | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -90,7 +89,6 @@ def subset(d: Dataset, indices: np.ndarray, name: str | None = None) -> Dataset:
         tuple(d.target_ids[i] for i in idx),
         d.features[idx],
         d.labels[idx],
-        scaling=d.scaling,
     )
 
 
@@ -179,7 +177,10 @@ def _load_sparse(path: str, lines: list[tuple[int, str]], feature_count: int | N
     width = feature_count if feature_count is not None else max_idx + 1
     if width < 1:
         raise DataError(f"{path}: could not infer feature width")
-    feats = np.zeros((len(entries), width), dtype=np.float32)
+    try:
+        feats = np.zeros((len(entries), width), dtype=np.float32)
+    except (ValueError, MemoryError):
+        raise DataError(f"{path}: cannot allocate {len(entries)} rows of width {width}") from None
     for row, pairs in enumerate(entries):
         for idx, val in pairs:
             j = idx - base

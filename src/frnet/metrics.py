@@ -139,9 +139,6 @@ class EvalReport:
     means: dict
     sds: dict
 
-    def metric_keys(self) -> list[str]:
-        return sorted(self.means)
-
 
 _NON_METRIC_KEYS = {"fold", "repeat"}
 

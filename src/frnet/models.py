@@ -16,7 +16,7 @@ inception block, and a dense head ending in a single sigmoid unit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -290,85 +290,54 @@ def build_frnet2(
 
 
 # ---------------------------------------------------------------------------
-# spec <-> plain-dict serialization (checkpoint payload)
+# spec <-> plain-dict serialization (checkpoint payload), field by field:
+# tuples become lists, and an Inception layer's InceptionSpec fields sit flat
+# in the layer's own dict.
 
 _LAYER_KINDS = {
-    "input": Input,
-    "conv": Conv,
-    "pool": Pool,
-    "inception": Inception,
-    "flatten": Flatten,
-    "dense": Dense,
-    "dropout": Dropout,
-    "concat": Concat,
+    c.__name__.lower(): c for c in (Input, Conv, Pool, Inception, Flatten, Dense, Dropout, Concat)
 }
 _KIND_NAMES = {v: k for k, v in _LAYER_KINDS.items()}
+# dict keys that differ from their field names
+_KEYS = {"filter_height": "fh", "filter_width": "fw", "bottleneck_channels": "bottleneck"}
+
+
+def _to_json(v):
+    return [_to_json(x) for x in v] if isinstance(v, (tuple, list)) else v
+
+
+def _from_json(v):
+    return tuple(_from_json(x) for x in v) if isinstance(v, list) else v
+
+
+def _write(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out.update(_write(v) if f.name == "spec" else {_KEYS.get(f.name, f.name): _to_json(v)})
+    return out
+
+
+def _read(cls, ld: dict):
+    return cls(**{
+        f.name: _read(InceptionSpec, ld) if f.name == "spec"
+        else _from_json(ld[_KEYS.get(f.name, f.name)])
+        for f in fields(cls)
+    })
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        d = {"kind": _KIND_NAMES[type(layer)], "name": layer.name, "inputs": list(layer.inputs)}
-        if isinstance(layer, Input):
-            d["item_shape"] = list(layer.item_shape)
-        elif isinstance(layer, Conv):
-            d.update(
-                fh=layer.filter_height,
-                fw=layer.filter_width,
-                out_channels=layer.out_channels,
-                stride=layer.stride,
-                activation=layer.activation,
-                l2_scale=layer.l2_scale,
-            )
-        elif isinstance(layer, Pool):
-            d.update(kernel=layer.kernel, stride=layer.stride)
-        elif isinstance(layer, Inception):
-            d.update(
-                bottleneck=layer.spec.bottleneck_channels,
-                branches=[list(b) for b in layer.spec.branches],
-                pool_kernel=layer.spec.pool_kernel,
-                stride=layer.spec.stride,
-                l2_scale=layer.l2_scale,
-            )
-        elif isinstance(layer, Dense):
-            d.update(width=layer.width, activation=layer.activation, l2_scale=layer.l2_scale)
-        elif isinstance(layer, Dropout):
-            d["keep_prob"] = layer.keep_prob
-        layers.append(d)
+    layers = [{"kind": _KIND_NAMES[type(layer)], **_write(layer)} for layer in spec.layers]
     return {"model_kind": spec.model_kind, "layers": layers, "taps": dict(spec.taps)}
 
 
 def spec_from_dict(d: dict) -> NetworkSpec:
+    """Inverse of spec_to_dict; a missing key raises KeyError."""
     layers = []
     for ld in d["layers"]:
-        kind, name, inputs = ld["kind"], ld["name"], tuple(ld["inputs"])
-        if kind == "input":
-            layers.append(Input(name, inputs, tuple(ld["item_shape"])))
-        elif kind == "conv":
-            layers.append(
-                Conv(name, inputs, ld["fh"], ld["fw"], ld["out_channels"], ld["stride"],
-                     ld["activation"], ld["l2_scale"])
-            )
-        elif kind == "pool":
-            layers.append(Pool(name, inputs, ld["kernel"], ld["stride"]))
-        elif kind == "inception":
-            sp = InceptionSpec(
-                bottleneck_channels=ld["bottleneck"],
-                branches=tuple(tuple(b) for b in ld["branches"]),
-                pool_kernel=ld["pool_kernel"],
-                stride=ld["stride"],
-            )
-            layers.append(Inception(name, inputs, sp, ld["l2_scale"]))
-        elif kind == "flatten":
-            layers.append(Flatten(name, inputs))
-        elif kind == "dense":
-            layers.append(Dense(name, inputs, ld["width"], ld["activation"], ld["l2_scale"]))
-        elif kind == "dropout":
-            layers.append(Dropout(name, inputs, ld["keep_prob"]))
-        elif kind == "concat":
-            layers.append(Concat(name, inputs))
-        else:
-            raise ShapeMismatchError(f"unknown layer kind {kind!r}")
+        if ld["kind"] not in _LAYER_KINDS:
+            raise ShapeMismatchError(f"unknown layer kind {ld['kind']!r}")
+        layers.append(_read(_LAYER_KINDS[ld["kind"]], ld))
     return NetworkSpec(d["model_kind"], tuple(layers), taps=dict(d["taps"]))
 
 
@@ -376,9 +345,74 @@ def spec_from_dict(d: dict) -> NetworkSpec:
 # graph compilation
 
 
-def _init_weight(rng, shape, fan_in, fan_out) -> Tensor:
-    if rng is None:
-        return Tensor.zeros(shape)
+def _lower(spec: NetworkSpec, shapes: dict, g: Graph):
+    """Append the spec's layers to `g`; the one place parameters are named.
+
+    Parameters are declared by name and shape with no value, so lowering
+    allocates nothing sized by the spec. Returns each layer's output node,
+    the l2 penalty nodes and each parameter node's shape by id, in order.
+    """
+    outputs, l2_terms, declared = {}, [], {}
+
+    def param(name, shape):
+        node = g.parameter(name, None)
+        declared[node] = shape
+        return node
+
+    def affine(name, src, w_shape, activation, l2, stride=1):
+        """Conv (4-d weight) or dense (2-d weight) plus bias, activation and l2 term."""
+        w = param(f"{name}/w", w_shape)
+        b = param(f"{name}/b", w_shape[-1:])
+        if len(w_shape) == 4:
+            node = g.apply("conv2d", [src, w, b], name=name, stride=stride)
+        else:
+            node = g.apply("matmul", [src, w], name=f"{name}/mm")
+            node = g.apply("bias_add", [node, b], name=f"{name}/badd")
+        if activation != "none":
+            node = g.apply(activation, [node], name=f"{name}/{activation}")
+        if l2 > 0:
+            l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
+        return node
+
+    for layer in spec.layers:
+        ins = [outputs[n] for n in layer.inputs]
+        # channels (or width) of the first input
+        cin = shapes[layer.inputs[0]][-1] if ins else 0
+        if isinstance(layer, Input):
+            node = g.placeholder("x")
+        elif isinstance(layer, Conv):
+            node = affine(layer.name, ins[0],
+                          (layer.filter_height, layer.filter_width, cin, layer.out_channels),
+                          layer.activation, layer.l2_scale, layer.stride)
+        elif isinstance(layer, Pool):
+            node = g.apply("maxpool2d", ins, name=layer.name, kernel=layer.kernel, stride=layer.stride)
+        elif isinstance(layer, Inception):
+            sp, bc = layer.spec, layer.spec.bottleneck_channels
+            parts = []
+            for k, (fh, fw, oc) in enumerate(sp.branches):
+                red = affine(f"{layer.name}/b{k}/reduce", ins[0], (1, 1, cin, bc), "relu", layer.l2_scale)
+                parts.append(affine(f"{layer.name}/b{k}/conv", red, (fh, fw, bc, oc), "relu",
+                                    layer.l2_scale, sp.stride))
+            parts.append(g.apply("maxpool2d", ins, name=f"{layer.name}/pool",
+                                 kernel=sp.pool_kernel, stride=sp.stride))
+            node = g.apply("concat", parts, name=layer.name)
+        elif isinstance(layer, Flatten):
+            node = g.apply("flatten", ins, name=layer.name)
+        elif isinstance(layer, Dense):
+            node = affine(layer.name, ins[0], (cin, layer.width), layer.activation, layer.l2_scale)
+        elif isinstance(layer, Dropout):
+            node = g.apply("dropout", ins, name=layer.name, keep_prob=layer.keep_prob)
+        elif isinstance(layer, Concat):
+            node = g.apply("concat", ins, name=layer.name)
+        else:
+            raise ShapeMismatchError(f"unknown layer kind {type(layer).__name__}")
+        outputs[layer.name] = node
+    return outputs, l2_terms, declared
+
+
+def _glorot(rng, shape) -> Tensor:
+    """Glorot-uniform weight; fans count the kernel extents on both sides."""
+    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32))
 
@@ -394,68 +428,14 @@ class CompiledModel:
     def __init__(self, spec: NetworkSpec, init_seed: int, random_init: bool = True):
         self.spec = spec
         self.shapes = infer_shapes(spec)
+        g = self.graph = Graph()
+        outputs, l2_terms, declared = _lower(spec, self.shapes, g)
+        # In creation order, weights (rank >= 2) draw from one stream; biases,
+        # and every parameter without random_init, start at zero.
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([init_seed, INIT])))
-        if not random_init:
-            rng = None
-        g = Graph()
-        self.graph = g
-        outputs: dict[str, int] = {}
-        l2_terms: list[int] = []
-
-        def add_conv(name, src, fh, fw, cin, cout, stride, activation, l2):
-            w = g.parameter(f"{name}/w", _init_weight(rng, (fh, fw, cin, cout), fh * fw * cin, fh * fw * cout))
-            b = g.parameter(f"{name}/b", Tensor.zeros((cout,)))
-            node = g.apply("conv2d", [src, w, b], name=name, stride=stride)
-            if activation != "none":
-                node = g.apply(activation, [node], name=f"{name}/{activation}")
-            if l2 > 0:
-                l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
-            return node
-
-        for layer in spec.layers:
-            ins = [outputs[n] for n in layer.inputs]
-            if isinstance(layer, Input):
-                node = g.placeholder("x")
-            elif isinstance(layer, Conv):
-                cin = self.shapes[layer.inputs[0]][2]
-                node = add_conv(
-                    layer.name, ins[0], layer.filter_height, layer.filter_width,
-                    cin, layer.out_channels, layer.stride, layer.activation, layer.l2_scale,
-                )
-            elif isinstance(layer, Pool):
-                node = g.apply("maxpool2d", ins, name=layer.name, kernel=layer.kernel, stride=layer.stride)
-            elif isinstance(layer, Inception):
-                cin = self.shapes[layer.inputs[0]][2]
-                sp = layer.spec
-                parts = []
-                for k, (fh, fw, oc) in enumerate(sp.branches):
-                    red = add_conv(f"{layer.name}/b{k}/reduce", ins[0], 1, 1, cin,
-                                   sp.bottleneck_channels, 1, "relu", layer.l2_scale)
-                    parts.append(add_conv(f"{layer.name}/b{k}/conv", red, fh, fw,
-                                          sp.bottleneck_channels, oc, sp.stride, "relu", layer.l2_scale))
-                parts.append(g.apply("maxpool2d", ins, name=f"{layer.name}/pool",
-                                     kernel=sp.pool_kernel, stride=sp.stride))
-                node = g.apply("concat", parts, name=layer.name)
-            elif isinstance(layer, Flatten):
-                node = g.apply("flatten", ins, name=layer.name)
-            elif isinstance(layer, Dense):
-                n_in = self.shapes[layer.inputs[0]][0]
-                w = g.parameter(f"{layer.name}/w", _init_weight(rng, (n_in, layer.width), n_in, layer.width))
-                b = g.parameter(f"{layer.name}/b", Tensor.zeros((layer.width,)))
-                node = g.apply("matmul", [ins[0], w], name=f"{layer.name}/mm")
-                node = g.apply("bias_add", [node, b], name=f"{layer.name}/badd")
-                if layer.activation != "none":
-                    node = g.apply(layer.activation, [node], name=f"{layer.name}/{layer.activation}")
-                if layer.l2_scale > 0:
-                    l2_terms.append(g.apply("l2_penalty", [w], name=f"{layer.name}/l2", scale=layer.l2_scale))
-            elif isinstance(layer, Dropout):
-                node = g.apply("dropout", ins, name=layer.name, keep_prob=layer.keep_prob)
-            elif isinstance(layer, Concat):
-                node = g.apply("concat", ins, name=layer.name)
-            else:
-                raise ShapeMismatchError(f"unknown layer kind {type(layer).__name__}")
-            outputs[layer.name] = node
-
+        for node, shape in declared.items():
+            glorot = random_init and len(shape) > 1
+            g.set_parameter(node, _glorot(rng, shape) if glorot else Tensor.zeros(shape))
         self.input_id = outputs[spec.input_layer.name]
         self.output_id = outputs[spec.output_layer.name]
         self.tap_ids = {tap: outputs[lname] for tap, lname in spec.taps.items()}
@@ -530,31 +510,12 @@ def extract_features(model: CompiledModel, x: np.ndarray, tap: str = DEEP_FEATUR
 def parameter_manifest(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """Name -> shape for every trainable tensor, in graph creation order.
 
-    Mirrors the naming used by CompiledModel, so a checkpoint can be
-    validated against its embedded spec without instantiating a graph.
+    Read off the lowering CompiledModel runs, which builds no array, so a
+    checkpoint's untrusted spec is checked without allocating by its sizes.
     """
-    shapes = infer_shapes(spec)
-    manifest: dict[str, tuple[int, ...]] = {}
-
-    def conv_entry(name, fh, fw, cin, cout):
-        manifest[f"{name}/w"] = (fh, fw, cin, cout)
-        manifest[f"{name}/b"] = (cout,)
-
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            cin = shapes[layer.inputs[0]][2]
-            conv_entry(layer.name, layer.filter_height, layer.filter_width, cin, layer.out_channels)
-        elif isinstance(layer, Inception):
-            cin = shapes[layer.inputs[0]][2]
-            sp = layer.spec
-            for k, (fh, fw, oc) in enumerate(sp.branches):
-                conv_entry(f"{layer.name}/b{k}/reduce", 1, 1, cin, sp.bottleneck_channels)
-                conv_entry(f"{layer.name}/b{k}/conv", fh, fw, sp.bottleneck_channels, oc)
-        elif isinstance(layer, Dense):
-            n_in = shapes[layer.inputs[0]][0]
-            manifest[f"{layer.name}/w"] = (n_in, layer.width)
-            manifest[f"{layer.name}/b"] = (layer.width,)
-    return manifest
+    g = Graph()
+    declared = _lower(spec, infer_shapes(spec), g)[2]
+    return {g.nodes[node].name: shape for node, shape in declared.items()}
 
 
 def parameter_count(spec: NetworkSpec) -> int:

@@ -21,7 +21,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -137,28 +137,7 @@ class RunConfig:
         return side
 
 
-CONFIG_KEYS = {
-    "dataset_path": "dataset-path",
-    "dataset_format": "dataset-format",
-    "dataset_name": "dataset-name",
-    "orientation": "orientation",
-    "seed": "seed",
-    "batch_size": "batch-size",
-    "epochs_ae": "epochs-ae",
-    "epochs_clf": "epochs-clf",
-    "lr": "lr",
-    "keep_prob": "keep-prob",
-    "l2_scale": "l2-scale",
-    "folds": "folds",
-    "repeats": "repeats",
-    "bottleneck_channels": "bottleneck-channels",
-    "stratified": "stratified",
-    "global_ae": "global-ae",
-    "ae_hidden": "ae-hidden",
-    "clf_hidden": "clf-hidden",
-    "threshold": "threshold",
-    "out_dir": "out-dir",
-}
+CONFIG_KEYS = {f.name: f.name.replace("_", "-") for f in fields(RunConfig)}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -398,6 +377,18 @@ def _load_model(path: str, expected_kind: str) -> tuple[CompiledModel, ScalingRe
     return model, record
 
 
+def _represent(
+    ae: CompiledModel, record: ScalingRecord | None, features: np.ndarray, source: str
+) -> np.ndarray:
+    """The autoencoder representation of raw rows; `source` names the autoencoder in errors."""
+    if record is None:
+        raise CheckpointError(f"{source}: no scaling record; cannot reproduce inputs")
+    h, w, _ = ae.shapes[ae.spec.input_layer.name]
+    if features.shape[1] + 1 != h * w:
+        raise CheckpointError(f"{source}: expects {h * w - 1} features, dataset has {features.shape[1]}")
+    return extract_features(ae, as_images(apply_scaling(features, record), (h, w)))
+
+
 def _resolve_dataset(cfg: RunConfig, dataset: Dataset | None) -> Dataset:
     if dataset is not None:
         return dataset
@@ -443,16 +434,8 @@ def cmd_extract(cfg: RunConfig, ae_checkpoint: str, dataset: Dataset | None = No
     d = _resolve_dataset(cfg, dataset)
     if len(d) == 0:
         raise DataError("dataset has no rows; nothing to extract")
-    model, record = _load_model(ae_checkpoint, "frnet1")
-    if record is None:
-        raise CheckpointError(f"{ae_checkpoint}: no scaling record; cannot reproduce inputs")
-    h, w, _ = model.shapes[model.spec.input_layer.name]
-    if d.feature_count + 1 != h * w:
-        raise CheckpointError(
-            f"{ae_checkpoint}: expects {h * w - 1} features, dataset has {d.feature_count}"
-        )
-    scaled = apply_scaling(d.features, record)
-    rep = extract_features(model, as_images(scaled, (h, w)))
+    ae, record = _load_model(ae_checkpoint, "frnet1")
+    rep = _represent(ae, record, d.features, ae_checkpoint)
     out = _ensure_out_dir(cfg)
     path = os.path.join(out, "features.tsv")
     write_feature_file(path, Dataset(d.name, d.drug_ids, d.target_ids, rep, d.labels))
@@ -573,13 +556,8 @@ def _run_fold(
         checkpoint.save(_model_state(ae, cfg, record), ae_ckpt)
         files["checkpoints"].append(os.path.relpath(ae_ckpt, cfg.out_dir))
 
-    h, w = cfg.orientation
-    rep_train = extract_features(
-        ae, as_images(apply_scaling(d.features[train_idx], record), (h, w))
-    )
-    rep_test = extract_features(
-        ae, as_images(apply_scaling(d.features[test_idx], record), (h, w))
-    )
+    rep_train = _represent(ae, record, d.features[train_idx], "autoencoder")
+    rep_test = _represent(ae, record, d.features[test_idx], "autoencoder")
 
     clf, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
     clf_log.write(os.path.join(logs_dir, f"clf_r{r}_f{f}.tsv"))
@@ -625,16 +603,9 @@ def cmd_rank_candidates(
     if k == 0:
         return []
     ae, record = _load_model(ae_checkpoint, "frnet1")
-    if record is None:
-        raise CheckpointError(f"{ae_checkpoint}: no scaling record; cannot reproduce inputs")
     clf, _ = _load_model(clf_checkpoint, "frnet2")
     neg = subset(d, negatives)
-    h, w, _ = ae.shapes[ae.spec.input_layer.name]
-    if neg.feature_count + 1 != h * w:
-        raise CheckpointError(
-            f"{ae_checkpoint}: expects {h * w - 1} features, dataset has {neg.feature_count}"
-        )
-    rep = extract_features(ae, as_images(apply_scaling(neg.features, record), (h, w)))
+    rep = _represent(ae, record, neg.features, ae_checkpoint)
     probs = _predict_batched(clf, as_square_images(rep), cfg.batch_size)[:, 0]
     rows = sorted(
         zip(neg.drug_ids, neg.target_ids, probs.astype(float)),

@@ -80,5 +80,4 @@ def permute_labels(d: Dataset, seed: int = 0) -> Dataset:
         d.target_ids,
         d.features,
         rng.permutation(d.labels),
-        scaling=d.scaling,
     )

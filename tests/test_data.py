@@ -140,6 +140,14 @@ def test_sparse_errors(tmp_path):
         load_dataset(str(p), SPARSE)
 
 
+def test_sparse_index_too_large_to_allocate_is_a_data_error(tmp_path):
+    # with no declared width the matrix follows the largest index
+    p = tmp_path / "huge.txt"
+    p.write_text("1 100000000000000000000:1\n0 1:0.5\n")
+    with pytest.raises(DataError, match="huge.txt.*width 100000000000000000001"):
+        load_dataset(str(p), SPARSE)
+
+
 def test_unknown_format(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n")
@@ -430,9 +438,9 @@ def test_fuzzed_delimited_file_loads_or_is_a_data_error(fuzz_path, raw, feature_
 
 
 @FUZZ
-@given(raw=_contents, feature_count=st.integers(1, 64))
+@given(raw=_contents, feature_count=st.none() | st.integers(1, 64))
 def test_fuzzed_sparse_file_loads_or_is_a_data_error(fuzz_path, raw, feature_count):
-    # a declared width bounds the matrix; an inferred one follows the largest index
+    # an inferred width follows the largest index, which the token rows bound
     with open(fuzz_path, "wb") as fh:
         fh.write(raw)
     try:

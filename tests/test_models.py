@@ -1,12 +1,18 @@
 """Network builders: shape traces, parameter counts, extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
     DEEP_FEATURES,
+    Dense,
+    Flatten,
     InceptionSpec,
+    Input,
+    NetworkSpec,
     build_frnet1,
     build_frnet2,
     compile_model,
@@ -98,12 +104,33 @@ def test_inception_channel_formula():
 
 
 def test_manifest_matches_compiled_parameters():
-    spec = build_frnet1(feature_count=48, orientation=(7, 7), hidden=(32, 16))
-    model = compile_model(spec, init_seed=3, random_init=False)
-    manifest = parameter_manifest(spec)
-    params = model.params()
-    assert list(manifest) == list(params)
-    assert all(params[k].shape == manifest[k] for k in manifest)
+    for spec in (
+        build_frnet1(feature_count=48, orientation=(7, 7), hidden=(32, 16)),
+        # parallel inception blocks and a channel merge
+        build_frnet2(feature_count=16, hidden=(8, 4), bottleneck_channels=4),
+    ):
+        model = compile_model(spec, init_seed=3, random_init=False)
+        manifest = parameter_manifest(spec)
+        params = model.params()
+        assert list(manifest) == list(params)
+        assert all(params[k].shape == manifest[k] for k in manifest)
+
+
+def test_manifest_allocates_nothing_sized_by_the_spec():
+    # checkpoint loads run the manifest on untrusted specs
+    spec = NetworkSpec("huge", (
+        Input("in", (), (1, 1, 1)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 10**12),
+    ))
+    tracemalloc.start()
+    try:
+        manifest = parameter_manifest(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest == {"fc/w": (1, 10**12), "fc/b": (10**12,)}
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
