@@ -18,12 +18,23 @@ magic, unknown version, checksum mismatch, or any manifest/spec
 disagreement raises CheckpointError and yields no partial state. There is
 no optimizer section; the `"optimizer": null` key that older writers put in
 the header is ignored.
+
+A load reads the file once, in 8 MB chunks, into one buffer placed so that
+the payload starts on a 64-byte boundary; a helper thread hashes each chunk
+while the next is read. Parameters come back as aligned, C-contiguous
+float32 views into that buffer, not copies; the small scaling arrays are
+copied, so a scaling record alone does not keep the buffer alive. A file
+that ends early or grows while it is read, or that is too large to hold in
+memory, is a CheckpointError. A save writes and hashes each section straight
+from its array, with no joined copy.
 """
 
 import hashlib
 import json
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +45,8 @@ from .errors import CheckpointError, FrnetError
 MAGIC = b"FRNT"
 VERSION = 1
 CHECKSUM_NAME = "sha256-64"
+READ_CHUNK = 8 << 20  # bytes per read, and per hash update on the helper thread
+ALIGN = 64  # byte boundary the payload of a loaded checkpoint starts on
 
 
 @dataclass
@@ -84,35 +97,31 @@ def save(state: ModelState, path: str) -> None:
         "spec": state.spec_dict,
         "version": VERSION,
     }
-    sections: list[bytes] = []
-    for n in param_names:
-        sections.append(_f32(state.params[n]).tobytes())
+    sections = [_f32(state.params[n]) for n in param_names]
     if state.scaling is not None:
         mins, maxs = state.scaling
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise CheckpointError("scaling record needs parallel 1-d min/max arrays")
         header["scaling"] = {"width": int(mins.shape[0])}
-        sections.append(_f32(mins).tobytes())
-        sections.append(_f32(maxs).tobytes())
+        sections += [_f32(mins), _f32(maxs)]
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = b"".join(
-        [
-            MAGIC,
-            VERSION.to_bytes(4, "little"),
-            len(header_bytes).to_bytes(4, "little"),
-            header_bytes,
-            *sections,
-        ]
-    )
-    digest = hashlib.sha256(body).digest()[:8]
+    prefix = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little")
+    hasher = hashlib.sha256()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(body)
-        fh.write(digest)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for part in (prefix, header_bytes, *(memoryview(a) for a in sections)):
+                hasher.update(part)
+                fh.write(part)
+            fh.write(hasher.digest()[:8])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _is_int(x) -> bool:
@@ -150,33 +159,86 @@ def _check_header(header, path: str) -> None:
     need(isinstance(header.get("extras", {}), dict), "'extras' must be an object")
 
 
-def load(path: str) -> ModelState:
-    """Read and validate a checkpoint; any defect raises, never a partial model."""
+def _hash_chunks(hasher, chunks: queue.SimpleQueue) -> None:
+    while (chunk := chunks.get()) is not None:
+        hasher.update(chunk)
+
+
+def _read_hashed(fh, size: int, path: str) -> tuple[bytes, np.ndarray, bytes]:
+    """Read the open file once and hash all but its last 8 bytes.
+
+    Returns the 12-byte prefix, the rest of the file in a buffer placed so
+    that the payload starts on an ALIGN-byte boundary, and the digest. A
+    helper thread hashes each chunk while the next is read (hashlib releases
+    the interpreter lock); it is joined before this returns or raises.
+    """
+    prefix = fh.read(12)
+    if len(prefix) < 12:
+        raise CheckpointError(f"{path}: file ended at byte {len(prefix)} of {size} while being read")
+    # the untrusted header length decides only where the buffer starts
+    header_len = int.from_bytes(prefix[8:12], "little")
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        buf = np.empty(size + ALIGN, np.uint8)
+    except MemoryError:
+        raise CheckpointError(f"{path}: no memory to hold a {size}-byte file") from None
+    start = -(buf.__array_interface__["data"][0] + header_len) % ALIGN
+    rest = buf[start : start + size - 12]
+    view = memoryview(rest)
+    hashed = size - 20
+    hasher = hashlib.sha256(prefix)
+    chunks: queue.SimpleQueue = queue.SimpleQueue()
+    worker = threading.Thread(target=_hash_chunks, args=(hasher, chunks), daemon=True)
+    worker.start()
+    try:
+        pos = 0
+        while pos < len(view):
+            n = fh.readinto(view[pos : pos + READ_CHUNK])
+            if not n:
+                raise CheckpointError(
+                    f"{path}: file ended at byte {12 + pos} of {size} while being read"
+                )
+            if pos < hashed:
+                chunks.put(view[pos : min(pos + n, hashed)])
+            pos += n
+        if fh.read(1):
+            raise CheckpointError(f"{path}: file grew past {size} bytes while being read")
+    finally:
+        chunks.put(None)
+        worker.join()
+    return prefix, rest, hasher.digest()[:8]
+
+
+def load(path: str) -> ModelState:
+    """Read and validate a checkpoint; any defect raises, never a partial model.
+
+    Parameters are float32 views into one buffer holding the file; the
+    scaling arrays are copies.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < 24:
+                raise CheckpointError(f"{path}: truncated file ({size} bytes)")
+            prefix, rest, digest = _read_hashed(fh, size, path)
     except OSError as e:
         raise CheckpointError(f"{path}: {e}") from None
-    if len(blob) < 24:
-        raise CheckpointError(f"{path}: truncated file ({len(blob)} bytes)")
-    body, digest = memoryview(blob)[:-8], blob[-8:]  # slices of the view copy nothing
-    if hashlib.sha256(body).digest()[:8] != digest:
+    if digest != rest[-8:].tobytes():
         raise CheckpointError(f"{path}: checksum mismatch, file corrupt or truncated")
-    if body[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {bytes(body[:4])!r}, expected {MAGIC!r}")
-    version = int.from_bytes(body[4:8], "little")
+    if prefix[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+    version = int.from_bytes(prefix[4:8], "little")
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, this reader supports {VERSION}")
-    header_len = int.from_bytes(body[8:12], "little")
-    if 12 + header_len > len(body):
+    header_len = int.from_bytes(prefix[8:12], "little")
+    if 12 + header_len > size - 8:
         raise CheckpointError(f"{path}: header length {header_len} exceeds file size")
     try:
-        header = json.loads(bytes(body[12 : 12 + header_len]).decode("utf-8"))
+        header = json.loads(rest[:header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
     _check_header(header, path)
 
-    payload = body[12 + header_len :]
+    payload = rest[header_len:-8]
     offset = 0
 
     def take(shape: tuple) -> np.ndarray:
@@ -184,9 +246,9 @@ def load(path: str) -> ModelState:
         nbytes = 4 * math.prod(shape)
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload shorter than manifest requires")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f4").reshape(shape)
+        arr = payload[offset : offset + nbytes].view("<f4").reshape(shape)
         offset += nbytes
-        return arr.copy()
+        return arr
 
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
@@ -194,7 +256,7 @@ def load(path: str) -> ModelState:
     scaling = None
     if header["scaling"] is not None:
         width = int(header["scaling"]["width"])
-        scaling = (take((width,)), take((width,)))
+        scaling = (take((width,)).copy(), take((width,)).copy())
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} unexpected trailing payload bytes")
 

@@ -160,12 +160,15 @@ def infer_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """Per-example output shape of every layer, batch axis omitted.
 
     Also validates every layer's sizes and wiring, since both builders and
-    every checkpoint load run it. The first layer, and only it, is the input.
+    every checkpoint load run it. The first layer, and only it, is the input,
+    and no two layers share a name.
     """
     shapes: dict[str, tuple[int, ...]] = {}
     for k, layer in enumerate(spec.layers):
         if isinstance(layer, Input) != (k == 0):
             raise ShapeMismatchError(f"layer {layer.name}: the input must be the first layer, and only it")
+        if layer.name in shapes:
+            raise ShapeMismatchError(f"layer name {layer.name!r} is used twice")
         ins = [shapes[n] for n in layer.inputs]
         _check_layer(layer, len(ins))
         if isinstance(layer, Input):

@@ -1,5 +1,8 @@
 """Shared test helpers: one-op graph evaluation, a finite-difference gradient
-checker for graph ops, and the settings of the fuzz tests."""
+checker for graph ops, a peak-allocation probe, and the settings of the fuzz
+tests."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -12,6 +15,21 @@ GRAD_TOL = 1e-4
 
 # fuzz tests stay deterministic and bounded: same examples every run
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+
+def peak_alloc(fn):
+    """Run fn(); return its result and the peak bytes traced above the start.
+
+    numpy reports its array buffers to tracemalloc, so this counts them too.
+    """
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
 
 
 def run_op(kind: str, *inputs, mode: str = EVAL, dropout_seed: int = 0, **attrs) -> np.ndarray:

@@ -4,16 +4,23 @@ import copy
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FUZZ
-from frnet.checkpoint import MAGIC, VERSION, ModelState, load, save
+from conftest import FUZZ, peak_alloc
+from frnet import checkpoint
+from frnet.checkpoint import ALIGN, MAGIC, VERSION, ModelState, load, save
 from frnet.errors import CheckpointError
 from frnet.models import (
+    Dense,
+    Flatten,
+    Input,
+    NetworkSpec,
     build_frnet1,
     compile_model,
     extract_features,
@@ -23,12 +30,12 @@ from frnet.models import (
 from frnet.tensor import Tensor
 
 
-def _small_spec():
-    return build_frnet1(feature_count=48, orientation=(7, 7), hidden=(32, 16))
+def _small_spec(hidden=(32, 16)):
+    return build_frnet1(feature_count=48, orientation=(7, 7), hidden=hidden)
 
 
-def _state(seed=5, with_scaling=False):
-    spec = _small_spec()
+def _state(seed=5, with_scaling=False, hidden=(32, 16)):
+    spec = _small_spec(hidden)
     rng = np.random.default_rng(seed)
     params = {
         name: rng.standard_normal(shape).astype(np.float32)
@@ -63,6 +70,123 @@ def test_round_trip_is_bitwise(tmp_path):
         assert back.params[n].tobytes() == p.tobytes()
     assert back.scaling[0].tobytes() == state.scaling[0].tobytes()
     assert back.scaling[1].tobytes() == state.scaling[1].tobytes()
+    # the scaling arrays are copies, so a scaling record does not pin the file buffer
+    for a in back.scaling:
+        assert a.flags.owndata
+        assert not any(np.shares_memory(a, p) for p in back.params.values())
+
+
+def test_loaded_parameters_are_aligned_views_for_every_header_length(tmp_path):
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "a.ckpt")
+    residues = set()
+    for pad in range(ALIGN):
+        state.extras = {"epochs": 3, "pad": "x" * pad}
+        save(state, path)
+        residues.add(int.from_bytes(open(path, "rb").read()[8:12], "little") % ALIGN)
+        back = load(path)
+        for n, p in state.params.items():
+            got = back.params[n]
+            assert got.flags.aligned and got.flags.c_contiguous
+            assert got.dtype == np.float32 and got.shape == p.shape
+            assert got.tobytes() == p.tobytes()
+        assert back.extras == state.extras
+    assert residues == set(range(ALIGN))
+
+
+def test_load_holds_one_copy_of_the_file(tmp_path):
+    path = str(tmp_path / "big.ckpt")
+    save(_state(hidden=(1280, 16)), path)
+    size = os.path.getsize(path)
+    assert 3 << 20 < size < 5 << 20
+    _, peak = peak_alloc(lambda: load(path))
+    assert peak < size + (1 << 20), f"load peaked at {peak / 2**20:.2f} MB for a {size / 2**20:.2f} MB file"
+
+
+def test_concurrent_loads_with_small_chunks_are_bitwise_equal(tmp_path, monkeypatch):
+    # many chunks per file, more loading threads than cores and frequent
+    # thread switches: a chunk lost or hashed twice fails the checksum
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "c.ckpt")
+    save(state, path)
+    monkeypatch.setattr(checkpoint, "READ_CHUNK", 4096)
+    results, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(5):
+                results.append(load(path))
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 30
+    for back in results:
+        assert all(back.params[n].tobytes() == p.tobytes() for n, p in state.params.items())
+
+
+def _joined_bytes(state):
+    # the writer's format spelled out as one concatenation, the reference for save
+    header = {
+        "checksum": "sha256-64",
+        "config_digest": state.config_digest,
+        "extras": state.extras,
+        "model_kind": state.spec_dict["model_kind"],
+        "params": [{"name": n, "shape": list(p.shape)} for n, p in state.params.items()],
+        "scaling": None if state.scaling is None else {"width": len(state.scaling[0])},
+        "seed": state.seed,
+        "spec": state.spec_dict,
+        "version": VERSION,
+    }
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    arrays = list(state.params.values()) + list(state.scaling or ())
+    body = b"".join(
+        [MAGIC, VERSION.to_bytes(4, "little"), len(raw).to_bytes(4, "little"), raw]
+        + [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays]
+    )
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+@pytest.mark.parametrize("with_scaling", [False, True])
+def test_save_writes_the_joined_bytes(tmp_path, with_scaling):
+    state = _state(with_scaling=with_scaling)
+    # a float64 parameter is stored as float32, as the reference does
+    first = next(iter(state.params))
+    state.params[first] = state.params[first].astype(np.float64)
+    path = str(tmp_path / "j.ckpt")
+    save(state, path)
+    assert open(path, "rb").read() == _joined_bytes(state)
+
+
+def _fstat_reporting(delta):
+    real = os.fstat
+
+    def fake(fd):
+        st = real(fd)
+        return os.stat_result(st[:6] + (st.st_size + delta,) + st[7:])
+    return fake
+
+
+@pytest.mark.parametrize("delta, word", [(-5, "grew"), (5, "ended"), (2**50, "memory")])
+def test_file_unlike_its_reported_size_is_a_checkpoint_error(tmp_path, monkeypatch, delta, word):
+    path = str(tmp_path / "g.ckpt")
+    save(_state(), path)
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "fstat", _fstat_reporting(delta))
+    with pytest.raises(CheckpointError, match=word):
+        load(path)
+    monkeypatch.undo()
+    assert threading.active_count() == threads  # the hashing thread was joined
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -257,11 +381,43 @@ def test_save_rejects_manifest_mismatch(tmp_path):
         save(state, str(tmp_path / "y.ckpt"))
 
 
+def test_repeated_layer_name_fails_to_load(tmp_path):
+    # one dense layer "fc", then a second "fc" appended to the saved spec: the
+    # manifest still names fc/w and fc/b once, so only the name check stops it
+    spec = NetworkSpec("dup", (
+        Input("in", (), (1, 1, 3)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 3),
+    ))
+    params = {"fc/w": np.ones((3, 3), np.float32), "fc/b": np.zeros(3, np.float32)}
+    path = str(tmp_path / "dup.ckpt")
+    save(ModelState(spec_dict=spec_to_dict(spec), params=params), path)
+
+    def repeat_fc(header):
+        layer = dict(header["spec"]["layers"][-1], inputs=["fc"])
+        header["spec"]["layers"].append(layer)
+        return header
+
+    _rewrite_header(path, repeat_fc)
+    with pytest.raises(CheckpointError, match="'fc'"):
+        load(path)
+
+
 def test_failed_save_leaves_no_file(tmp_path):
     state = _state()
     state.params.pop(next(iter(state.params)))
     with pytest.raises(CheckpointError):
         save(state, str(tmp_path / "z.ckpt"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_failing_while_writing_leaves_no_file(tmp_path, monkeypatch):
+    def disk_error(fd):
+        raise OSError("simulated write failure")
+
+    monkeypatch.setattr(os, "fsync", disk_error)
+    with pytest.raises(OSError, match="simulated"):
+        save(_state(), str(tmp_path / "w.ckpt"))
     assert os.listdir(tmp_path) == []
 
 
@@ -348,3 +504,47 @@ def test_fuzzed_spec_loads_or_is_a_checkpoint_error(fuzz_checkpoint, spec):
         load(path)
     except CheckpointError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole file: any change to a valid file, or bytes that never were
+# one, is a CheckpointError; an edit that changes nothing loads bit for bit
+
+
+@st.composite
+def _damaged_files(draw, blob):
+    kind = draw(st.sampled_from(["bytes", "sealed", "truncated", "poked"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=256))
+    if kind == "sealed":
+        # past the checksum: a valid prefix, any header length, any header bytes
+        body = (MAGIC + VERSION.to_bytes(4, "little")
+                + draw(st.integers(0, 300)).to_bytes(4, "little") + draw(st.binary(max_size=256)))
+        return body + hashlib.sha256(body).digest()[:8]
+    if kind == "truncated":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    pos = draw(st.integers(0, len(blob) - 1))
+    byte = draw(st.just(blob[pos]) | st.integers(0, 255))  # rewriting the same byte is a no-op
+    return blob[:pos] + bytes([byte]) + blob[pos + 1 :]
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_file_loads_bitwise_or_is_a_checkpoint_error(fuzz_checkpoint, data):
+    path, blob = fuzz_checkpoint
+    damaged = data.draw(_damaged_files(blob))
+    target = os.path.join(os.path.dirname(path), "damaged.ckpt")
+    with open(target, "wb") as fh:
+        fh.write(damaged)
+    if damaged != blob:
+        with pytest.raises(CheckpointError):
+            load(target)
+        return
+    back = load(target)
+    state = _state(with_scaling=True)
+    assert [(n, a.tobytes()) for n, a in back.params.items()] == [
+        (n, a.tobytes()) for n, a in state.params.items()
+    ]
+    assert [a.tobytes() for a in back.scaling] == [a.tobytes() for a in state.scaling]
+    save(back, target)
+    assert open(target, "rb").read() == blob

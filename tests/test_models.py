@@ -1,10 +1,9 @@
 """Network builders: shape traces, parameter counts, extraction."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import peak_alloc
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
     DEEP_FEATURES,
@@ -123,14 +122,21 @@ def test_manifest_allocates_nothing_sized_by_the_spec():
         Flatten("flat", ("in",)),
         Dense("fc", ("flat",), 10**12),
     ))
-    tracemalloc.start()
-    try:
-        manifest = parameter_manifest(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    manifest, peak = peak_alloc(lambda: parameter_manifest(spec))
     assert manifest == {"fc/w": (1, 10**12), "fc/b": (10**12,)}
     assert peak < 1 << 20
+
+
+def test_repeated_layer_name_is_rejected():
+    # two layers named "fc" would declare two "fc/w" nodes, and only one is saved
+    spec = NetworkSpec("dup", (
+        Input("in", (), (1, 1, 3)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 3),
+        Dense("fc", ("fc",), 3),
+    ))
+    with pytest.raises(ShapeMismatchError, match="'fc'"):
+        infer_shapes(spec)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])

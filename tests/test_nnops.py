@@ -1,12 +1,11 @@
 """Neural operators as one-op graphs: SAME padding, forward oracles, gradient checks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck, run_op
+from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import Conv, Input, NetworkSpec, infer_shapes
@@ -258,11 +257,5 @@ def test_l2_penalty_value_matches_float64_sum_of_squares(shape):
 def test_l2_penalty_forward_builds_no_full_size_temporary():
     w = np.random.default_rng(5).standard_normal((2048, 1024)).astype(np.float32)
     g, node = _l2_graph(w, 0.001)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        g.forward({}, outputs=[node])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2**20, f"l2_penalty forward peaked at {(peak - base) / 2**20:.2f} MB"
+    _, peak = peak_alloc(lambda: g.forward({}, outputs=[node]))
+    assert peak < 2**20, f"l2_penalty forward peaked at {peak / 2**20:.2f} MB"

@@ -1,12 +1,11 @@
 """Adam updates, binary cross-entropy, and loss composition."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import scalar_adam_reference
+from conftest import peak_alloc, scalar_adam_reference
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import build_frnet1, compile_model
 from frnet.optim import AdamState, adam_step, bce_loss
@@ -171,15 +170,9 @@ def test_adam_step_allocates_no_full_size_float64_temporaries():
     params = {"w": Tensor(np.linspace(-1.0, 1.0, n, dtype=np.float32))}
     grads = {"w": Tensor(np.linspace(2.0, -2.0, n, dtype=np.float32))}
     state = AdamState.init(params)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        out = adam_step(params, grads, state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_alloc(lambda: adam_step(params, grads, state))
     budget = out["w"].data.nbytes + 4 * 2**20  # the float32 result plus 4 MB
-    assert peak - base < budget, f"adam_step peaked at {(peak - base) / 2**20:.1f} MB"
+    assert peak < budget, f"adam_step peaked at {peak / 2**20:.1f} MB"
 
 
 def test_bce_perfect_prediction_hits_clip_floor():
