@@ -2,9 +2,10 @@
 
 A NetworkSpec is an ordered list of layers with every hyperparameter
 resolved; layers name their inputs, so parallel branches and merges are
-plain list entries. `infer_shapes` walks the list and yields each layer's
-per-example output shape (batch axis omitted), which the builders use to
-validate the architecture end to end before any graph exists.
+plain list entries. The lowering walks the list once: it checks each layer,
+computes its per-example output shape (batch axis omitted) and appends its
+graph nodes. `infer_shapes` is that walk on an empty graph, which the
+builders use to validate the architecture end to end.
 
 `build_frnet1` is the feature-distilling autoencoder: a strided 1x1
 convolution and max-pool front end, one inception block, then dense layers
@@ -159,58 +160,10 @@ def _check_layer(layer: Layer, n_inputs: int) -> None:
 def infer_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """Per-example output shape of every layer, batch axis omitted.
 
-    Also validates every layer's sizes and wiring, since both builders and
-    every checkpoint load run it. The first layer, and only it, is the input,
-    and no two layers share a name.
+    Read off the lowering on an empty graph, which validates every layer's
+    sizes and wiring; both builders and every checkpoint load run it.
     """
-    shapes: dict[str, tuple[int, ...]] = {}
-    for k, layer in enumerate(spec.layers):
-        if isinstance(layer, Input) != (k == 0):
-            raise ShapeMismatchError(f"layer {layer.name}: the input must be the first layer, and only it")
-        if layer.name in shapes:
-            raise ShapeMismatchError(f"layer name {layer.name!r} is used twice")
-        ins = [shapes[n] for n in layer.inputs]
-        _check_layer(layer, len(ins))
-        if isinstance(layer, Input):
-            if len(layer.item_shape) != 3:
-                raise ShapeMismatchError(f"input shape must be (h, w, c), got {layer.item_shape}")
-            out = tuple(layer.item_shape)
-        elif isinstance(layer, Conv):
-            h, w, _ = ins[0]
-            out = _conv_out((h, w), layer.filter_height, layer.filter_width, layer.stride) + (
-                layer.out_channels,
-            )
-        elif isinstance(layer, Pool):
-            h, w, c = ins[0]
-            out = _conv_out((h, w), layer.kernel, layer.kernel, layer.stride) + (c,)
-        elif isinstance(layer, Inception):
-            h, w, c = ins[0]
-            sp = layer.spec
-            spatial = {_conv_out((h, w), fh, fw, sp.stride) for fh, fw, _ in sp.branches}
-            spatial.add(_conv_out((h, w), sp.pool_kernel, sp.pool_kernel, sp.stride))
-            if len(spatial) != 1:
-                raise ShapeMismatchError(f"inception {layer.name}: branch extents diverge {spatial}")
-            out = spatial.pop() + (sp.out_channels(c),)
-        elif isinstance(layer, Flatten):
-            out = (math.prod(ins[0]),)
-        elif isinstance(layer, Dense):
-            if len(ins[0]) != 1:
-                raise ShapeMismatchError(f"dense {layer.name} needs a flat input, got {ins[0]}")
-            out = (layer.width,)
-        elif isinstance(layer, Dropout):
-            out = ins[0]
-        elif isinstance(layer, Concat):
-            if any(len(s) != 3 for s in ins):
-                raise ShapeMismatchError(f"concat {layer.name} needs rank-3 item inputs")
-            if len({s[:2] for s in ins}) != 1:
-                raise ShapeMismatchError(f"concat {layer.name}: spatial extents differ: {ins}")
-            out = ins[0][:2] + (sum(s[2] for s in ins),)
-        else:
-            raise ShapeMismatchError(f"unknown layer kind {type(layer).__name__}")
-        shapes[layer.name] = out
-    if not spec.layers or not set(spec.taps.values()) <= set(shapes):
-        raise ShapeMismatchError("a spec needs an input layer, and every tap must name a layer")
-    return shapes
+    return _lower(spec, Graph())[0]
 
 
 def build_frnet1(
@@ -348,14 +301,17 @@ def spec_from_dict(d: dict) -> NetworkSpec:
 # graph compilation
 
 
-def _lower(spec: NetworkSpec, shapes: dict, g: Graph):
-    """Append the spec's layers to `g`; the one place parameters are named.
+def _lower(spec: NetworkSpec, g: Graph):
+    """Check each layer, compute its shape and append its nodes to `g`, in one pass.
 
+    The one walk over a spec and the one place parameters are named. The
+    first layer, and only it, is the input, and no two layers share a name.
     Parameters are declared by name and shape with no value, so lowering
-    allocates nothing sized by the spec. Returns each layer's output node,
-    the l2 penalty nodes and each parameter node's shape by id, in order.
+    allocates nothing sized by the spec. Returns each layer's per-example
+    output shape (batch axis omitted), each layer's output node, the l2
+    penalty nodes and each parameter node's shape by id, in order.
     """
-    outputs, l2_terms, declared = {}, [], {}
+    shapes, outputs, l2_terms, declared = {}, {}, [], {}
 
     def param(name, shape):
         node = g.parameter(name, None)
@@ -377,40 +333,71 @@ def _lower(spec: NetworkSpec, shapes: dict, g: Graph):
             l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
         return node
 
-    for layer in spec.layers:
-        ins = [outputs[n] for n in layer.inputs]
-        # channels (or width) of the first input
-        cin = shapes[layer.inputs[0]][-1] if ins else 0
+    for k, layer in enumerate(spec.layers):
+        if isinstance(layer, Input) != (k == 0):
+            raise ShapeMismatchError(f"layer {layer.name}: the input must be the first layer, and only it")
+        if layer.name in shapes:
+            raise ShapeMismatchError(f"layer name {layer.name!r} is used twice")
+        ins = [shapes[n] for n in layer.inputs]
+        _check_layer(layer, len(ins))
+        src = [outputs[n] for n in layer.inputs]
         if isinstance(layer, Input):
+            if len(layer.item_shape) != 3:
+                raise ShapeMismatchError(f"input shape must be (h, w, c), got {layer.item_shape}")
+            out = tuple(layer.item_shape)
             node = g.placeholder("x")
         elif isinstance(layer, Conv):
-            node = affine(layer.name, ins[0],
+            h, w, cin = ins[0]
+            out = _conv_out((h, w), layer.filter_height, layer.filter_width, layer.stride)
+            out += (layer.out_channels,)
+            node = affine(layer.name, src[0],
                           (layer.filter_height, layer.filter_width, cin, layer.out_channels),
                           layer.activation, layer.l2_scale, layer.stride)
         elif isinstance(layer, Pool):
-            node = g.apply("maxpool2d", ins, name=layer.name, kernel=layer.kernel, stride=layer.stride)
+            h, w, c = ins[0]
+            out = _conv_out((h, w), layer.kernel, layer.kernel, layer.stride) + (c,)
+            node = g.apply("maxpool2d", src, name=layer.name, kernel=layer.kernel, stride=layer.stride)
         elif isinstance(layer, Inception):
+            h, w, cin = ins[0]
             sp, bc = layer.spec, layer.spec.bottleneck_channels
+            spatial = {_conv_out((h, w), fh, fw, sp.stride) for fh, fw, _ in sp.branches}
+            spatial.add(_conv_out((h, w), sp.pool_kernel, sp.pool_kernel, sp.stride))
+            if len(spatial) != 1:
+                raise ShapeMismatchError(f"inception {layer.name}: branch extents diverge {spatial}")
+            out = spatial.pop() + (sp.out_channels(cin),)
             parts = []
-            for k, (fh, fw, oc) in enumerate(sp.branches):
-                red = affine(f"{layer.name}/b{k}/reduce", ins[0], (1, 1, cin, bc), "relu", layer.l2_scale)
-                parts.append(affine(f"{layer.name}/b{k}/conv", red, (fh, fw, bc, oc), "relu",
+            for b, (fh, fw, oc) in enumerate(sp.branches):
+                red = affine(f"{layer.name}/b{b}/reduce", src[0], (1, 1, cin, bc), "relu", layer.l2_scale)
+                parts.append(affine(f"{layer.name}/b{b}/conv", red, (fh, fw, bc, oc), "relu",
                                     layer.l2_scale, sp.stride))
-            parts.append(g.apply("maxpool2d", ins, name=f"{layer.name}/pool",
+            parts.append(g.apply("maxpool2d", src, name=f"{layer.name}/pool",
                                  kernel=sp.pool_kernel, stride=sp.stride))
             node = g.apply("concat", parts, name=layer.name)
         elif isinstance(layer, Flatten):
-            node = g.apply("flatten", ins, name=layer.name)
+            out = (math.prod(ins[0]),)
+            node = g.apply("flatten", src, name=layer.name)
         elif isinstance(layer, Dense):
-            node = affine(layer.name, ins[0], (cin, layer.width), layer.activation, layer.l2_scale)
+            if len(ins[0]) != 1:
+                raise ShapeMismatchError(f"dense {layer.name} needs a flat input, got {ins[0]}")
+            out = (layer.width,)
+            node = affine(layer.name, src[0], (ins[0][0], layer.width), layer.activation, layer.l2_scale)
         elif isinstance(layer, Dropout):
-            node = g.apply("dropout", ins, name=layer.name, keep_prob=layer.keep_prob)
+            out = ins[0]
+            node = g.apply("dropout", src, name=layer.name, keep_prob=layer.keep_prob)
         elif isinstance(layer, Concat):
-            node = g.apply("concat", ins, name=layer.name)
+            if any(len(s) != 3 for s in ins):
+                raise ShapeMismatchError(f"concat {layer.name} needs rank-3 item inputs")
+            if len({s[:2] for s in ins}) != 1:
+                raise ShapeMismatchError(f"concat {layer.name}: spatial extents differ: {ins}")
+            out = ins[0][:2] + (sum(s[2] for s in ins),)
+            node = g.apply("concat", src, name=layer.name)
         else:
             raise ShapeMismatchError(f"unknown layer kind {type(layer).__name__}")
+        shapes[layer.name] = out
         outputs[layer.name] = node
-    return outputs, l2_terms, declared
+    if not spec.layers or not set(spec.taps.values()) <= set(shapes):
+        raise ShapeMismatchError("a spec needs an input layer, and every tap must name a layer")
+    return shapes, outputs, l2_terms, declared
 
 
 def _glorot(rng, shape) -> Tensor:
@@ -430,9 +417,8 @@ class CompiledModel:
 
     def __init__(self, spec: NetworkSpec, init_seed: int, random_init: bool = True):
         self.spec = spec
-        self.shapes = infer_shapes(spec)
         g = self.graph = Graph()
-        outputs, l2_terms, declared = _lower(spec, self.shapes, g)
+        self.shapes, outputs, l2_terms, declared = _lower(spec, g)
         # In creation order, weights (rank >= 2) draw from one stream; biases,
         # and every parameter without random_init, start at zero.
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([init_seed, INIT])))
@@ -482,32 +468,34 @@ def compile_model(spec: NetworkSpec, init_seed: int, random_init: bool = True) -
     return CompiledModel(spec, init_seed, random_init=random_init)
 
 
-# Extraction always runs the graph on blocks of exactly this many rows,
+# Every eval pass runs the graph on blocks of exactly this many rows,
 # zero-padding the tail. BLAS kernels pick different accumulation paths for
-# different matrix shapes, so only a fixed block shape makes the extracted
-# rows independent of how callers partition their inputs.
-_EXTRACT_BLOCK = 32
+# different matrix shapes, so only a fixed block shape makes each row's
+# output independent of how callers partition their inputs.
+_EVAL_BLOCK = 32
+
+
+def eval_in_blocks(forward, x: np.ndarray) -> np.ndarray:
+    """`forward` over every row of x in fixed-size blocks, concatenated in row order.
+
+    Bitwise invariant to input partitioning: running rows one at a time
+    yields the same matrix as running them all at once. An empty x still
+    runs one all-padding block, so the result keeps its trailing shape.
+    """
+    rows = []
+    for start in range(0, max(len(x), 1), _EVAL_BLOCK):
+        chunk = np.asarray(x[start : start + _EVAL_BLOCK], dtype=np.float32)
+        real = len(chunk)
+        if real < _EVAL_BLOCK:
+            pad = np.zeros((_EVAL_BLOCK - real,) + chunk.shape[1:], dtype=np.float32)
+            chunk = np.concatenate([chunk, pad], axis=0)
+        rows.append(forward(chunk)[:real])
+    return np.concatenate(rows, axis=0)
 
 
 def extract_features(model: CompiledModel, x: np.ndarray, tap: str = DEEP_FEATURES) -> np.ndarray:
-    """Eval-mode tap activations for every row of x, in row order.
-
-    Bitwise invariant to input partitioning: extracting rows one at a time
-    yields the same matrix as extracting them all at once.
-    """
-    width = model.shapes[model.spec.taps[tap]][0]
-    n = len(x)
-    if n == 0:
-        return np.zeros((0, width), dtype=np.float32)
-    rows = []
-    for start in range(0, n, _EXTRACT_BLOCK):
-        chunk = np.asarray(x[start : start + _EXTRACT_BLOCK], dtype=np.float32)
-        real = len(chunk)
-        if real < _EXTRACT_BLOCK:
-            pad = np.zeros((_EXTRACT_BLOCK - real,) + chunk.shape[1:], dtype=np.float32)
-            chunk = np.concatenate([chunk, pad], axis=0)
-        rows.append(model.tap(chunk, tap)[:real])
-    return np.concatenate(rows, axis=0)
+    """Eval-mode tap activations for every row of x, in row order."""
+    return eval_in_blocks(lambda block: model.tap(block, tap), x)
 
 
 def parameter_manifest(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
@@ -517,7 +505,7 @@ def parameter_manifest(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     checkpoint's untrusted spec is checked without allocating by its sizes.
     """
     g = Graph()
-    declared = _lower(spec, infer_shapes(spec), g)[2]
+    declared = _lower(spec, g)[3]
     return {g.nodes[node].name: shape for node, shape in declared.items()}
 
 

@@ -59,11 +59,11 @@ from .metrics import (
     write_curve_files,
 )
 from .models import (
-    DEEP_FEATURES,
     CompiledModel,
     build_frnet1,
     build_frnet2,
     compile_model,
+    eval_in_blocks,
     extract_features,
     spec_from_dict,
     spec_to_dict,
@@ -109,8 +109,10 @@ class RunConfig:
             (self.epochs_ae >= 0, "epochs-ae must be >= 0"),
             (self.epochs_clf >= 0, "epochs-clf must be >= 0"),
             (self.lr > 0, "lr must be positive"),
+            (math.isfinite(self.lr), "lr must be finite"),
             (0 < self.keep_prob <= 1, "keep-prob must be in (0, 1]"),
             (self.l2_scale >= 0, "l2-scale must be >= 0"),
+            (math.isfinite(self.l2_scale), "l2-scale must be finite"),
             (self.folds >= 2, "folds must be >= 2"),
             (self.repeats >= 1, "repeats must be >= 1"),
             (self.bottleneck_channels >= 1, "bottleneck-channels must be >= 1"),
@@ -230,9 +232,8 @@ class TrainLog:
                 )
 
 
-def _predict_batched(model: CompiledModel, x: np.ndarray, batch_size: int) -> np.ndarray:
-    outs = [model.predict(x[s : s + batch_size]) for s in range(0, len(x), batch_size)]
-    return np.concatenate(outs, axis=0)
+def _predict_batched(model: CompiledModel, x: np.ndarray) -> np.ndarray:
+    return eval_in_blocks(model.predict, x)
 
 
 def _train(
@@ -250,7 +251,8 @@ def _train(
     """Mini-batch Adam over (x, y); deterministic given seed and path tags.
 
     A step that fails or yields a non-finite loss raises PipelineError naming
-    the model kind, epoch and batch, so a diverging run writes nothing.
+    the model kind, epoch and batch, and so do parameters left non-finite by
+    the last update, so a diverging run writes nothing.
     """
     kind = model.spec.model_kind
     n = len(x)
@@ -275,93 +277,78 @@ def _train(
             batch_losses.append(total)
         loss = float(np.mean(np.array(batch_losses, dtype=np.float64)))
         log.add(epoch, loss, accuracy_fn(model), time.perf_counter() - t0)
+    # min and max propagate NaN and reach +-inf, with no full-size temporary
+    if epochs and not all(np.isfinite([p.data.min(), p.data.max()]).all() for p in params.values()):
+        raise PipelineError(f"{kind} epoch {epochs - 1}: parameters are not finite after the last update")
     return log
 
 
-def _sample(n: int, cap: int = 256) -> slice:
-    return slice(0, min(n, cap))
+def _accuracy_fn(x: np.ndarray, y: np.ndarray, threshold: float):
+    """Per-epoch accuracy on the first 256 rows of (x, y).
 
-
-def _recon_accuracy_fn(x: np.ndarray, y: np.ndarray, batch_size: int):
-    s = _sample(len(x))
-    xs, ys = x[s], y[s]
+    The share of entries where prediction >= threshold agrees with
+    target >= 0.5, the target shaped like the prediction.
+    """
+    xs, ys = x[:256], y[:256]
 
     def fn(model: CompiledModel) -> float:
-        pred = _predict_batched(model, xs, batch_size)
-        return float(np.mean((pred >= 0.5) == (ys >= 0.5)))
+        pred = _predict_batched(model, xs)
+        return float(np.mean((pred >= threshold) == (np.reshape(ys, pred.shape) >= 0.5)))
 
     return fn
 
 
-def _threshold_accuracy_fn(x: np.ndarray, y: np.ndarray, batch_size: int, threshold: float):
-    s = _sample(len(x))
-    xs, ys = x[s], y[s]
+def _recon_accuracy_fn(x: np.ndarray, y: np.ndarray):
+    return _accuracy_fn(x, y, 0.5)
 
-    def fn(model: CompiledModel) -> float:
-        pred = _predict_batched(model, xs, batch_size)
-        return float(np.mean((pred >= threshold).astype(np.int64) == ys.astype(np.int64)))
 
-    return fn
+def _threshold_accuracy_fn(x: np.ndarray, y: np.ndarray, threshold: float):
+    return _accuracy_fn(x, y, threshold)
+
+
+def _fit(cfg: RunConfig, spec, x: np.ndarray, y: np.ndarray, epochs: int, path: tuple[int, ...],
+         accuracy_fn) -> tuple[CompiledModel, TrainLog]:
+    """Compile `spec` with the init seed of `path` and train it on (x, y)."""
+    model = compile_model(spec, init_seed=derive_key(cfg.seed, *path))
+    log = _train(model, x, y, epochs=epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                 master_seed=cfg.seed, path=path, accuracy_fn=accuracy_fn)
+    return model, log
 
 
 def _train_autoencoder(
-    cfg: RunConfig, feats_scaled: np.ndarray, *, path: tuple[int, ...]
-) -> tuple[CompiledModel, TrainLog]:
-    spec = build_frnet1(
-        feature_count=feats_scaled.shape[1],
-        orientation=cfg.orientation,
-        hidden=cfg.ae_hidden,
-        bottleneck_channels=cfg.bottleneck_channels,
-        keep_prob=cfg.keep_prob,
-        l2_scale=cfg.l2_scale,
-    )
-    model = compile_model(spec, init_seed=derive_key(cfg.seed, *path))
-    x = as_images(feats_scaled, cfg.orientation)
-    log = _train(
-        model, x, feats_scaled,
-        epochs=cfg.epochs_ae, batch_size=cfg.batch_size, lr=cfg.lr,
-        master_seed=cfg.seed, path=path,
-        accuracy_fn=_recon_accuracy_fn(x, feats_scaled, cfg.batch_size),
-    )
-    return model, log
+    cfg: RunConfig, features: np.ndarray, *, path: tuple[int, ...]
+) -> tuple[CompiledModel, ScalingRecord, TrainLog]:
+    """Fit the scaling record on raw rows, then train the autoencoder on the scaled rows."""
+    record = fit_scaling(features)
+    scaled = apply_scaling(features, record)
+    spec = build_frnet1(feature_count=scaled.shape[1], orientation=cfg.orientation, hidden=cfg.ae_hidden,
+                        bottleneck_channels=cfg.bottleneck_channels, keep_prob=cfg.keep_prob,
+                        l2_scale=cfg.l2_scale)
+    x = as_images(scaled, cfg.orientation)
+    model, log = _fit(cfg, spec, x, scaled, cfg.epochs_ae, path, _recon_accuracy_fn(x, scaled))
+    return model, record, log
 
 
 def _train_classifier(
     cfg: RunConfig, rep: np.ndarray, labels: np.ndarray, *, path: tuple[int, ...]
 ) -> tuple[CompiledModel, TrainLog]:
-    spec = build_frnet2(
-        feature_count=rep.shape[1],
-        hidden=cfg.clf_hidden,
-        bottleneck_channels=cfg.bottleneck_channels,
-        keep_prob=cfg.keep_prob,
-        l2_scale=cfg.l2_scale,
-    )
-    model = compile_model(spec, init_seed=derive_key(cfg.seed, *path))
+    spec = build_frnet2(feature_count=rep.shape[1], hidden=cfg.clf_hidden,
+                        bottleneck_channels=cfg.bottleneck_channels, keep_prob=cfg.keep_prob,
+                        l2_scale=cfg.l2_scale)
     x = as_square_images(rep)
     y = labels.astype(np.float32).reshape(-1, 1)
-    log = _train(
-        model, x, y,
-        epochs=cfg.epochs_clf, batch_size=cfg.batch_size, lr=cfg.lr,
-        master_seed=cfg.seed, path=path,
-        accuracy_fn=_threshold_accuracy_fn(x, labels, cfg.batch_size, cfg.threshold),
-    )
-    return model, log
+    return _fit(cfg, spec, x, y, cfg.epochs_clf, path, _threshold_accuracy_fn(x, y, cfg.threshold))
 
 
-def _model_state(
-    model: CompiledModel,
-    cfg: RunConfig,
-    record: ScalingRecord | None,
-    extras: dict | None = None,
-) -> checkpoint.ModelState:
-    return checkpoint.ModelState(
-        spec_dict=spec_to_dict(model.spec),
-        params={name: t.data for name, t in model.params().items()},
-        seed=cfg.seed,
-        config_digest=config_digest(cfg),
-        scaling=(record.mins, record.maxs) if record is not None else None,
-        extras=extras or {},
-    )
+def _save(cfg: RunConfig, model: CompiledModel, record: ScalingRecord | None, log: TrainLog,
+          ckpt_path: str, log_path: str) -> None:
+    """Write a trained stage: its training log, then its checkpoint."""
+    log.write(log_path)
+    params = {name: t.data for name, t in model.params().items()}
+    scaling = (record.mins, record.maxs) if record is not None else None
+    state = checkpoint.ModelState(spec_dict=spec_to_dict(model.spec), params=params, seed=cfg.seed,
+                                  config_digest=config_digest(cfg), scaling=scaling)
+    checkpoint.save(state, ckpt_path)
 
 
 def _load_model(path: str, expected_kind: str) -> tuple[CompiledModel, ScalingRecord | None]:
@@ -417,14 +404,11 @@ def cmd_train_ae(cfg: RunConfig, dataset: Dataset | None = None) -> dict:
     """Train the autoencoder on the full dataset; write checkpoint and log."""
     cfg.validate()
     d = _resolve_dataset(cfg, dataset)
-    record = fit_scaling(d.features)
-    scaled = apply_scaling(d.features, record)
-    model, log = _train_autoencoder(cfg, scaled, path=(_STAGE_GLOBAL_AE,))
+    model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
     out = _ensure_out_dir(cfg)
     ckpt_path = os.path.join(out, "ae.ckpt")
     log_path = os.path.join(out, "ae_train_log.tsv")
-    checkpoint.save(_model_state(model, cfg, record), ckpt_path)
-    log.write(log_path)
+    _save(cfg, model, record, log, ckpt_path, log_path)
     return {"checkpoint": ckpt_path, "log": log_path, "train_log": log}
 
 
@@ -446,14 +430,11 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
     """Train the classifier on an extracted-feature file; write checkpoint and log."""
     cfg.validate()
     d = read_feature_file(features_path)
-    model, log = _train_classifier(
-        cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0)
-    )
+    model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
     out = _ensure_out_dir(cfg)
     ckpt_path = os.path.join(out, "clf.ckpt")
     log_path = os.path.join(out, "clf_train_log.tsv")
-    checkpoint.save(_model_state(model, cfg, None), ckpt_path)
-    log.write(log_path)
+    _save(cfg, model, None, log, ckpt_path, log_path)
     return {"checkpoint": ckpt_path, "log": log_path, "train_log": log}
 
 
@@ -465,26 +446,18 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
     models_dir = _ensure_out_dir(cfg, "models")
     curves_dir = _ensure_out_dir(cfg, "curves")
     logs_dir = _ensure_out_dir(cfg, "logs")
-    digest = config_digest(cfg)
 
-    global_model = None
-    global_record = None
+    global_ae = None
+    ckpt_files: list[str] = []
     if cfg.global_ae:
-        global_record = fit_scaling(d.features)
-        scaled_all = apply_scaling(d.features, global_record)
-        global_model, glog = _train_autoencoder(cfg, scaled_all, path=(_STAGE_GLOBAL_AE,))
-        glog.write(os.path.join(logs_dir, "ae_global.tsv"))
-        checkpoint.save(
-            _model_state(global_model, cfg, global_record),
-            os.path.join(models_dir, "ae_global.ckpt"),
-        )
+        model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
+        _save(cfg, model, record, log, os.path.join(models_dir, "ae_global.ckpt"),
+              os.path.join(logs_dir, "ae_global.tsv"))
+        global_ae = (model, record)
+        ckpt_files.append(os.path.join("models", "ae_global.ckpt"))
 
     fold_metrics: list[dict] = []
     curve_files: list[str] = []
-    ckpt_files: list[str] = []
-    if cfg.global_ae:
-        ckpt_files.append(os.path.join("models", "ae_global.ckpt"))
-
     for r in range(cfg.repeats):
         plan = make_folds(d, k=cfg.folds, seed=derive_key(cfg.seed, FOLDS, r),
                           stratified=cfg.stratified)
@@ -492,7 +465,7 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
             try:
                 fm, files = _run_fold(
                     cfg, d, plan, r, f,
-                    global_model=global_model, global_record=global_record,
+                    global_ae=global_ae,
                     models_dir=models_dir, curves_dir=curves_dir, logs_dir=logs_dir,
                 )
             except FrnetError as e:
@@ -508,7 +481,7 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
         "positives": int(d.positives),
         "mode": "global-ae" if cfg.global_ae else "per-fold-ae",
         "config": config_to_dict(cfg),
-        "config_digest": digest,
+        "config_digest": config_digest(cfg),
         "fold_metrics": fold_metrics,
         "means": report.means,
         "sds": report.sds,
@@ -516,9 +489,16 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
         "checkpoint_files": ckpt_files,
     }
     report_path = os.path.join(cfg.out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_dict, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    tmp = f"{report_path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report_dict, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, report_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return report, report_dict
 
 
@@ -529,8 +509,7 @@ def _run_fold(
     r: int,
     f: int,
     *,
-    global_model,
-    global_record,
+    global_ae: tuple[CompiledModel, ScalingRecord] | None,
     models_dir: str,
     curves_dir: str,
     logs_dir: str,
@@ -543,29 +522,23 @@ def _run_fold(
         raise DataError(f"fold {f} leaves a side without positives; use stratified folds")
 
     files = {"curves": [], "checkpoints": []}
-    if cfg.global_ae:
-        record = global_record
-        ae = global_model
+    if global_ae is not None:
+        ae, record = global_ae
     else:
-        record = fit_scaling(d.features[train_idx])
-        ae, ae_log = _train_autoencoder(
-            cfg, apply_scaling(d.features[train_idx], record), path=(_STAGE_AE, r, f)
-        )
-        ae_log.write(os.path.join(logs_dir, f"ae_r{r}_f{f}.tsv"))
+        ae, record, ae_log = _train_autoencoder(cfg, d.features[train_idx], path=(_STAGE_AE, r, f))
         ae_ckpt = os.path.join(models_dir, f"ae_r{r}_f{f}.ckpt")
-        checkpoint.save(_model_state(ae, cfg, record), ae_ckpt)
+        _save(cfg, ae, record, ae_log, ae_ckpt, os.path.join(logs_dir, f"ae_r{r}_f{f}.tsv"))
         files["checkpoints"].append(os.path.relpath(ae_ckpt, cfg.out_dir))
 
     rep_train = _represent(ae, record, d.features[train_idx], "autoencoder")
     rep_test = _represent(ae, record, d.features[test_idx], "autoencoder")
 
     clf, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
-    clf_log.write(os.path.join(logs_dir, f"clf_r{r}_f{f}.tsv"))
     clf_ckpt = os.path.join(models_dir, f"clf_r{r}_f{f}.ckpt")
-    checkpoint.save(_model_state(clf, cfg, None), clf_ckpt)
+    _save(cfg, clf, None, clf_log, clf_ckpt, os.path.join(logs_dir, f"clf_r{r}_f{f}.tsv"))
     files["checkpoints"].append(os.path.relpath(clf_ckpt, cfg.out_dir))
 
-    probs = _predict_batched(clf, as_square_images(rep_test), cfg.batch_size)[:, 0]
+    probs = _predict_batched(clf, as_square_images(rep_test))[:, 0]
     scored = ScoredLabels(probs.astype(np.float64), test_labels)
     fm = evaluate_scores(scored, cfg.threshold)
     fm["repeat"] = r
@@ -606,7 +579,7 @@ def cmd_rank_candidates(
     clf, _ = _load_model(clf_checkpoint, "frnet2")
     neg = subset(d, negatives)
     rep = _represent(ae, record, neg.features, ae_checkpoint)
-    probs = _predict_batched(clf, as_square_images(rep), cfg.batch_size)[:, 0]
+    probs = _predict_batched(clf, as_square_images(rep))[:, 0]
     rows = sorted(
         zip(neg.drug_ids, neg.target_ids, probs.astype(float)),
         key=lambda row: (-row[2], row[0], row[1]),
@@ -614,13 +587,23 @@ def cmd_rank_candidates(
     return [(drug, target, float(score)) for drug, target, score in rows[:k]]
 
 
+# the report.json keys that `cmd_report` reads
+_REPORT_KEYS = {"dataset", "pairs", "positives", "mode", "config_digest", "fold_metrics", "means", "sds",
+                "curve_files", "checkpoint_files"}
+
+
 def cmd_report(run_dir: str) -> dict:
     """Summarize a finished run directory; fails closed on missing artifacts."""
     report_path = os.path.join(run_dir, "report.json")
     if not os.path.exists(report_path):
         raise MissingArtifactError(f"missing artifacts in {run_dir}: ['report.json']")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    try:
+        with open(report_path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except ValueError as e:  # undecodable bytes or truncated JSON
+        raise MissingArtifactError(f"{report_path}: malformed report: {e}") from None
+    if not isinstance(report, dict) or not _REPORT_KEYS <= report.keys():
+        raise MissingArtifactError(f"{report_path}: malformed report: needs the keys {sorted(_REPORT_KEYS)}")
     missing = [
         rel
         for rel in list(report["curve_files"]) + list(report["checkpoint_files"])

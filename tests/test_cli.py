@@ -83,6 +83,33 @@ class TestExitCodes:
         assert "error: frnet1 epoch" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
 
+    @pytest.mark.parametrize("key", ["lr", "l2-scale"])
+    def test_non_finite_rate_exits_one(self, dataset_file, tmp_path, key, capsys):
+        rc = main(["train-ae", *tiny_flags(dataset_file, tmp_path, **{key: "inf"})])
+        assert rc == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ae.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_last_update_is_a_runtime_failure(self, tmp_path, capsys):
+        # 20 rows are one batch, so the loss guard never sees the updated parameters
+        data = tmp_path / "blobs20.tsv"
+        write_feature_file(str(data), synth_blobs(n=20, width=48, seed=3))
+        flags = tiny_flags(str(data), tmp_path / "out", **{"epochs-ae": "1", "batch-size": "32", "lr": "1e300"})
+        rc = main(["train-ae", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: frnet1 epoch 0: parameters are not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "ae.ckpt").exists()
+
+    @pytest.mark.parametrize("content", [b'{"dataset": "blobs", "pairs": 3', b"{}", b"\xff\xfe{}"],
+                             ids=["truncated", "empty-object", "not-utf8"])
+    def test_malformed_report_is_a_runtime_failure(self, tmp_path, content, capsys):
+        (tmp_path / "report.json").write_bytes(content)
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "report.json: malformed report" in err and "Traceback" not in err
+
 
 class TestCommands:
     def test_ingest_prints_statistics(self, dataset_file, capsys):

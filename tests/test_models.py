@@ -182,6 +182,9 @@ def test_extract_is_invariant_to_batch_partitioning():
     # an uneven split must agree too
     split = np.concatenate([extract_features(model, x[:5]), extract_features(model, x[5:])])
     assert np.array_equal(whole, split)
+    # no rows still give the (0, width) float32 matrix
+    empty = extract_features(model, x[:0])
+    assert empty.shape == (0, 32) and empty.dtype == np.float32
 
 
 def test_zero_weight_model_gives_equal_rows():

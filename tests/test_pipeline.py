@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from frnet import checkpoint
-from frnet.data import Dataset, make_folds, read_feature_file
+from frnet.data import Dataset, fit_scaling, make_folds, read_feature_file, subset
 from frnet.errors import (
     CheckpointError,
     ConfigError,
@@ -30,7 +30,9 @@ from frnet.pipeline import (
     RunConfig,
     TrainLog,
     _STAGE_GLOBAL_AE,
+    _predict_batched,
     _recon_accuracy_fn,
+    _threshold_accuracy_fn,
     _train,
     cmd_cv_run,
     cmd_extract,
@@ -120,6 +122,8 @@ class TestRunConfig:
             ("orientation", (0, 7), "orientation"),
             ("ae_hidden", (16, 0), "ae-hidden"),
             ("clf_hidden", (0, 4), "clf-hidden"),
+            ("lr", math.inf, "lr must be finite"),
+            ("l2_scale", math.inf, "l2-scale must be finite"),
         ],
     )
     def test_validate_rejects(self, field, value, phrase):
@@ -235,21 +239,40 @@ class _Echo:
 
 def test_recon_accuracy_examples():
     t = np.array([[1.0, 0.0, 1.0, 0.0]], dtype=np.float32)
-    assert _recon_accuracy_fn(t, t, batch_size=4)(_Echo()) == 1.0
-    assert _recon_accuracy_fn(1.0 - t, t, batch_size=4)(_Echo()) == 0.0
+    assert _recon_accuracy_fn(t, t)(_Echo()) == 1.0
+    assert _recon_accuracy_fn(1.0 - t, t)(_Echo()) == 0.0
 
 
 def test_recon_accuracy_matches_counting_oracle():
     rng = np.random.default_rng(9)
     pred = rng.random((4, 25)).astype(np.float32)
     target = rng.random((4, 25)).astype(np.float32)
-    got = _recon_accuracy_fn(pred, target, batch_size=3)(_Echo())
+    got = _recon_accuracy_fn(pred, target)(_Echo())
     agree = sum(
         1
         for p, t in zip(pred.ravel().tolist(), target.ravel().tolist())
         if (p >= 0.5) == (t >= 0.5)
     )
     assert got == agree / 100
+
+
+def test_threshold_accuracy_examples():
+    # 2 positives in 10 rows, predictions in the classifier's (n, 1) column
+    y = np.zeros((10, 1), dtype=np.float32)
+    y[[2, 7]] = 1.0
+    assert _threshold_accuracy_fn(y, y, 0.5)(_Echo()) == 1.0
+    assert _threshold_accuracy_fn(1.0 - y, y, 0.5)(_Echo()) == 0.0
+    # 1-d labels are compared row by row, not broadcast against the column
+    assert _threshold_accuracy_fn(y, y[:, 0], 0.5)(_Echo()) == 1.0
+
+
+def test_prediction_does_not_depend_on_how_rows_are_split():
+    model = compile_model(build_frnet2(feature_count=256, hidden=(64, 32)), init_seed=5)
+    x = np.random.default_rng(4).random((70, 16, 16, 1), dtype=np.float32)
+    together = _predict_batched(model, x)
+    one_at_a_time = np.concatenate([_predict_batched(model, x[i : i + 1]) for i in range(len(x))])
+    assert together.shape == (70, 1)
+    assert one_at_a_time.tobytes() == together.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -568,6 +591,24 @@ class TestRank:
             overflow = cmd_rank_candidates(cfg, ae, clf, 46, dataset=blobs48)
         assert overflow == everything
 
+    def test_score_does_not_depend_on_other_candidates(self, tmp_path):
+        # random-init checkpoints at the acceptance-sanity widths
+        d = synth_blobs(n=70, width=255, seed=3)
+        record = fit_scaling(d.features)
+        ae, clf = str(tmp_path / "ae.ckpt"), str(tmp_path / "clf.ckpt")
+        for path, spec, scaling in (
+            (ae, build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128)),
+             (record.mins, record.maxs)),
+            (clf, build_frnet2(feature_count=256, hidden=(64, 32)), None),
+        ):
+            params = compile_model(spec, init_seed=2).params()
+            _save_model_state(path, spec, {name: t.data for name, t in params.items()}, scaling)
+        cfg = tiny_cfg(tmp_path)
+        negatives = np.flatnonzero(d.labels == 0)
+        together = cmd_rank_candidates(cfg, ae, clf, len(negatives), dataset=d)
+        alone = [cmd_rank_candidates(cfg, ae, clf, 1, dataset=subset(d, [i]))[0] for i in negatives]
+        assert sorted(alone, key=lambda row: (-row[2], row[0], row[1])) == together
+
     def test_equal_scores_fall_back_to_lexicographic_ids(self, tmp_path):
         # all-zero weights collapse every score to sigmoid(0) = 0.5
         ae_spec = build_frnet1(feature_count=48, orientation=(7, 7), hidden=(16, 4))
@@ -676,3 +717,13 @@ class TestReport:
     def test_missing_report_fails_closed(self, tmp_path):
         with pytest.raises(MissingArtifactError, match=r"\['report.json'\]"):
             cmd_report(str(tmp_path))
+
+    def test_failed_report_write_leaves_no_file(self, tmp_path, blobs48, monkeypatch):
+        def broken_dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_cv_run(tiny_cfg(tmp_path, epochs_ae=0, epochs_clf=0), dataset=blobs48)
+        assert [f for f in os.listdir(tmp_path) if f.startswith("report.json")] == []
