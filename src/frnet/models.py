@@ -341,6 +341,10 @@ def _lower(spec: NetworkSpec, g: Graph):
         ins = [shapes[n] for n in layer.inputs]
         _check_layer(layer, len(ins))
         src = [outputs[n] for n in layer.inputs]
+        if isinstance(layer, (Conv, Pool, Inception)) and len(ins[0]) != 3:
+            raise ShapeMismatchError(
+                f"{type(layer).__name__.lower()} {layer.name} needs an (h, w, c) input, got {ins[0]}"
+            )
         if isinstance(layer, Input):
             if len(layer.item_shape) != 3:
                 raise ShapeMismatchError(f"input shape must be (h, w, c), got {layer.item_shape}")

@@ -8,11 +8,28 @@ nodes: build a `Graph`, `apply` the kind, and call `forward`.
 Cross-correlation convention (no kernel flip). SAME padding on each spatial
 axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
 + filter - input, 0), split floor(total/2) before and the rest after.
+
+A padded buffer is made only when padding is needed, which is never for a
+1x1 filter. Convolutions take one strided view of every window of the
+SAME-padded input (im2col) and make one matmul of it; reshaping that view
+copies the windows, except for a 1x1 filter at stride 1, whose rows are the
+input's pixels. The backward scatters the gradient back window by window
+(col2im). Max pooling keeps a running maximum over the k*k window offsets,
+each a strided view of the padded input, and its backward adds the adjoint
+back one offset at a time. The identity pool (kernel 1, stride 1) that every
+inception block holds returns its input, and its backward returns the
+upstream adjoint.
+
+Every path gives the same bytes, forward and backward, as the SAME-padded
+path that copies each window and takes its argmax (the tests keep that path
+as the reference), with one exception: the identity pool's backward passes a
+-0.0 adjoint through, where a zero-filled scatter gives +0.0.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import TRAIN, register_op
 from .errors import GraphError, ShapeMismatchError
@@ -27,34 +44,49 @@ def same_pad(extent: int, filt: int, stride: int) -> tuple[int, int, int]:
     return before, total - before, out
 
 
-def _window_view(xp, fh, fw, stride, oh, ow):
-    # (b, hp, wp, c) -> (b, oh, ow, fh, fw, c) copies of each sliding window
-    b, _, _, c = xp.shape
-    cols = np.empty((b, oh, ow, fh, fw, c), dtype=xp.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            cols[:, :, :, i, j, :] = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-    return cols
-
-
-def _im2col(x, fh, fw, stride, pad_value=0.0):
+def _pad_same(x, fh, fw, stride, pad_value):
+    """x SAME-padded with pad_value (x itself when no padding is needed), and (pt, pl, oh, ow)."""
     b, h, w, c = x.shape
     pt, pb, oh = same_pad(h, fh, stride)
     pl, pr, ow = same_pad(w, fw, stride)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=pad_value)
-    return _window_view(xp, fh, fw, stride, oh, ow), (pt, pl, oh, ow)
+    if not (pt or pb or pl or pr):
+        return x, (pt, pl, oh, ow)
+    xp = np.full((b, h + pt + pb, w + pl + pr, c), pad_value, dtype=x.dtype)
+    xp[:, pt : pt + h, pl : pl + w, :] = x
+    return xp, (pt, pl, oh, ow)
+
+
+def _padded_zeros(x_shape, fh, fw, stride, dtype):
+    b, h, w, c = x_shape
+    pt, pb, _ = same_pad(h, fh, stride)
+    pl, pr, _ = same_pad(w, fw, stride)
+    return np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dtype)
+
+
+def _window(xp, i, j, stride, oh, ow):
+    """The (b, oh, ow, c) view of padded xp at window offset (i, j)."""
+    return xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
+
+
+def _im2col(x, fh, fw, stride):
+    # (b, h, w, c) -> (b, oh, ow, fh, fw, c): a read-only view of every window
+    # of the zero-padded input; same_pad keeps every window inside the buffer
+    xp, pads = _pad_same(x, fh, fw, stride, 0.0)
+    _, _, oh, ow = pads
+    sb, sh, sw, sc = xp.strides
+    windows = as_strided(xp, (x.shape[0], oh, ow, fh, fw, x.shape[3]),
+                         (sb, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return windows, pads
 
 
 def _col2im(dcols, x_shape, fh, fw, stride, pads):
-    b, h, w, c = x_shape
     pt, pl, oh, ow = pads
-    _, pb, _ = same_pad(h, fh, stride)
-    _, pr, _ = same_pad(w, fw, stride)
-    dxp = np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dcols.dtype)
+    dxp = _padded_zeros(x_shape, fh, fw, stride, dcols.dtype)
     for i in range(fh):
         for j in range(fw):
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[:, :, :, i, j, :]
-    return dxp[:, pt : pt + h, pl : pl + w, :]
+            win = _window(dxp, i, j, stride, oh, ow)
+            win += dcols[:, :, :, i, j, :]
+    return dxp[:, pt : pt + x_shape[1], pl : pl + x_shape[2], :]
 
 
 def _check_rank4(x, op):
@@ -83,8 +115,10 @@ def _conv2d_fwd(args, attrs, ctx):
     _conv2d_check(x.shape, w.shape, b.shape)
     fh, fw, cin, cout = w.shape
     stride = attrs["stride"]
-    cols, pads = _im2col(x, fh, fw, stride, pad_value=0.0)
+    cols, pads = _im2col(x, fh, fw, stride)
     bsz, oh, ow = cols.shape[:3]
+    # copies the windows, except for a 1x1 filter at stride 1 on a contiguous
+    # input, whose rows are the input's pixels
     cols2 = cols.reshape(bsz * oh * ow, fh * fw * cin)
     y = cols2 @ w.reshape(fh * fw * cin, cout) + b
     return y.reshape(bsz, oh, ow, cout), (cols2, pads)
@@ -111,23 +145,35 @@ def _maxpool2d_fwd(args, attrs, ctx):
     (x,) = args
     _check_rank4(x, "maxpool2d")
     k, stride = attrs["kernel"], attrs["stride"]
-    cols, pads = _im2col(x, k, k, stride, pad_value=-np.inf)
-    b, oh, ow = cols.shape[:3]
-    c = x.shape[3]
-    flat = cols.reshape(b, oh, ow, k * k, c)
-    arg = flat.argmax(axis=3)  # first occurrence in row-major window order
-    y = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return y, (arg, pads)
+    if k == stride == 1:
+        return x, None
+    xp, pads = _pad_same(x, k, k, stride, -np.inf)
+    _, _, oh, ow = pads
+    best = _window(xp, 0, 0, stride, oh, ow)
+    arg = np.zeros(best.shape, dtype=np.min_scalar_type(k * k - 1))
+    for n in range(1, k * k):
+        win = _window(xp, *divmod(n, k), stride, oh, ow)
+        # argmax's first-occurrence rule in row-major window order: a later
+        # element wins when it is greater, or a NaN over a number; np.where
+        # selects elements, so signed zeros and NaN payloads pass as they are
+        take = ~(win <= best) & (best == best)
+        best = np.where(take, win, best)
+        arg[take] = n
+    return best, (arg, pads)
 
 
 def _maxpool2d_bwd(grad, args, out, saved, attrs):
+    if saved is None:  # identity pool
+        return (grad,)
     (x,) = args
-    arg, pads = saved
     k, stride = attrs["kernel"], attrs["stride"]
-    b, oh, ow, c = grad.shape
-    dcols = np.zeros((b, oh, ow, k * k, c), dtype=grad.dtype)
-    np.put_along_axis(dcols, arg[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
-    return (_col2im(dcols.reshape(b, oh, ow, k, k, c), x.shape, k, k, stride, pads),)
+    arg, (pt, pl, oh, ow) = saved
+    dxp = _padded_zeros(x.shape, k, k, stride, grad.dtype)
+    for n in range(k * k):
+        # the adjoint where offset n won and +0.0 elsewhere, added like col2im
+        win = _window(dxp, *divmod(n, k), stride, oh, ow)
+        win += np.where(arg == n, grad, 0)
+    return (dxp[:, pt : pt + x.shape[1], pl : pl + x.shape[2], :],)
 
 
 # ---------------------------------------------------------------------------

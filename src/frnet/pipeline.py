@@ -592,6 +592,29 @@ _REPORT_KEYS = {"dataset", "pairs", "positives", "mode", "config_digest", "fold_
                 "curve_files", "checkpoint_files"}
 
 
+def _check_report_values(report: dict, path: str) -> None:
+    """Raise MissingArtifactError naming the first key `cmd_report` reads whose value has the wrong type."""
+
+    def numbers(v):
+        return isinstance(v, dict) and all(x is None or type(x) in (int, float) for x in v.values())
+
+    def names(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    for key, needs, ok in (
+        ("curve_files", "a list of file names", names),
+        ("checkpoint_files", "a list of file names", names),
+        ("fold_metrics", "a list", lambda v: isinstance(v, list)),
+        ("config_digest", "a string", lambda v: isinstance(v, str)),
+        ("means", "an object of numbers with auPR and auROC",
+         lambda v: numbers(v) and {"auPR", "auROC"} <= v.keys()),
+        ("sds", "an object of numbers with the keys of means",
+         lambda v: numbers(v) and report["means"].keys() <= v.keys()),
+    ):
+        if not ok(report[key]):
+            raise MissingArtifactError(f"{path}: malformed report: {key!r} must be {needs}")
+
+
 def cmd_report(run_dir: str) -> dict:
     """Summarize a finished run directory; fails closed on missing artifacts."""
     report_path = os.path.join(run_dir, "report.json")
@@ -604,9 +627,10 @@ def cmd_report(run_dir: str) -> dict:
         raise MissingArtifactError(f"{report_path}: malformed report: {e}") from None
     if not isinstance(report, dict) or not _REPORT_KEYS <= report.keys():
         raise MissingArtifactError(f"{report_path}: malformed report: needs the keys {sorted(_REPORT_KEYS)}")
+    _check_report_values(report, report_path)
     missing = [
         rel
-        for rel in list(report["curve_files"]) + list(report["checkpoint_files"])
+        for rel in report["curve_files"] + report["checkpoint_files"]
         if not os.path.exists(os.path.join(run_dir, rel))
     ]
     if missing:

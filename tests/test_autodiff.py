@@ -91,6 +91,23 @@ def test_forward_computes_only_requested_ancestors():
         g.value(ry)
 
 
+def test_forward_follows_a_growing_graph():
+    g = Graph()
+    x = g.placeholder("x")
+    y = g.placeholder("y")
+    a = g.apply("relu", [x])
+    g.apply("relu", [y])
+    g.forward({x: Tensor([2.0])}, outputs=[a])
+    assert set(g._values) == {x, a}
+    # a node appended after that pass is computed when asked for, and the
+    # unrelated branch (with no feed for y) still is not
+    b = g.apply("add", [a, x])
+    assert g.forward({x: Tensor([2.0])}, outputs=[b])[b].tolist() == [4.0]
+    assert set(g._values) == {x, a, b}
+    assert g.forward({x: Tensor([3.0])}, outputs=[a])[a].tolist() == [3.0]
+    assert set(g._values) == {x, a}
+
+
 def test_fanout_accumulates_adjoints():
     # loss = sum(x*x + x) -> dloss/dx = 2x + 1
     g = Graph()

@@ -4,6 +4,7 @@ Runs go through main() with tiny zero- or one-epoch configs; this file
 checks plumbing and process contracts, not learning behavior.
 """
 
+import json
 import os
 
 import pytest
@@ -18,6 +19,15 @@ def dataset_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "blobs.tsv"
     write_feature_file(str(path), synth_blobs(n=30, width=48, seed=3))
     return str(path)
+
+
+def _report_bytes(**overrides):
+    """A report.json with every key `report` reads, some replaced by `overrides`."""
+    report = {"dataset": "blobs", "pairs": 30, "positives": 3, "mode": "frnet",
+              "config_digest": "0" * 64, "fold_metrics": [], "means": {"auPR": 0.9, "auROC": 0.8},
+              "sds": {"auPR": 0.0, "auROC": 0.0}, "curve_files": [], "checkpoint_files": []}
+    report.update(overrides)
+    return json.dumps(report).encode()
 
 
 def tiny_flags(dataset_file, out_dir, **extra):
@@ -102,8 +112,12 @@ class TestExitCodes:
         assert "error: frnet1 epoch 0: parameters are not finite" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
 
-    @pytest.mark.parametrize("content", [b'{"dataset": "blobs", "pairs": 3', b"{}", b"\xff\xfe{}"],
-                             ids=["truncated", "empty-object", "not-utf8"])
+    @pytest.mark.parametrize("content", [
+        b'{"dataset": "blobs", "pairs": 3', b"{}", b"\xff\xfe{}",
+        _report_bytes(means=5), _report_bytes(means={"auPR": "0.9", "auROC": 0.8}),
+        _report_bytes(curve_files="roc.tsv"),
+    ], ids=["truncated", "empty-object", "not-utf8", "means-not-object", "means-non-number",
+            "curve-files-not-list"])
     def test_malformed_report_is_a_runtime_failure(self, tmp_path, content, capsys):
         (tmp_path / "report.json").write_bytes(content)
         assert main(["report", "--run-dir", str(tmp_path)]) == 2

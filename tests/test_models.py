@@ -7,11 +7,14 @@ from conftest import peak_alloc
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
     DEEP_FEATURES,
+    Conv,
     Dense,
     Flatten,
+    Inception,
     InceptionSpec,
     Input,
     NetworkSpec,
+    Pool,
     build_frnet1,
     build_frnet2,
     compile_model,
@@ -136,6 +139,17 @@ def test_repeated_layer_name_is_rejected():
         Dense("fc", ("fc",), 3),
     ))
     with pytest.raises(ShapeMismatchError, match="'fc'"):
+        infer_shapes(spec)
+
+
+@pytest.mark.parametrize("layer", [
+    Conv("conv", ("flat",), 1, 1, 4, 1),
+    Pool("pool", ("flat",), 2, 2),
+    Inception("incep", ("flat",), InceptionSpec()),
+], ids=["conv", "pool", "inception"])
+def test_spatial_layer_on_a_flat_input_is_rejected(layer):
+    spec = NetworkSpec("flat-then-spatial", (Input("in", (), (4, 4, 1)), Flatten("flat", ("in",)), layer))
+    with pytest.raises(ShapeMismatchError, match=f"{layer.name} needs an \\(h, w, c\\) input"):
         infer_shapes(spec)
 
 

@@ -259,3 +259,175 @@ def test_l2_penalty_forward_builds_no_full_size_temporary():
     g, node = _l2_graph(w, 0.001)
     _, peak = peak_alloc(lambda: g.forward({}, outputs=[node]))
     assert peak < 2**20, f"l2_penalty forward peaked at {peak / 2**20:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# every kernel against the SAME-padded path as first written, byte for byte
+
+
+def _ref_windows(x, fh, fw, stride, pad_value):
+    # the generic path as first written: np.pad, then one copy per window offset
+    pt, pb, oh = same_pad(x.shape[1], fh, stride)
+    pl, pr, ow = same_pad(x.shape[2], fw, stride)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=pad_value)
+    cols = np.empty((x.shape[0], oh, ow, fh, fw, x.shape[3]), dtype=x.dtype)
+    for i in range(fh):
+        for j in range(fw):
+            cols[:, :, :, i, j, :] = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
+    return cols, (pt, pb, pl, pr)
+
+
+def _ref_scatter(dcols, x_shape, stride, pads):
+    b, h, w, c = x_shape
+    _, oh, ow, fh, fw, _ = dcols.shape
+    pt, pb, pl, pr = pads
+    dxp = np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dcols.dtype)
+    for i in range(fh):
+        for j in range(fw):
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[:, :, :, i, j, :]
+    return dxp[:, pt : pt + h, pl : pl + w, :]
+
+
+def _ref_conv(x, w, b, stride, up):
+    fh, fw, cin, cout = w.shape
+    cols, pads = _ref_windows(x, fh, fw, stride, 0.0)
+    bsz, oh, ow = cols.shape[:3]
+    cols2 = cols.reshape(bsz * oh * ow, fh * fw * cin)
+    y = (cols2 @ w.reshape(fh * fw * cin, cout) + b).reshape(bsz, oh, ow, cout)
+    g2 = up.reshape(-1, cout)
+    dw = (cols2.T @ g2).reshape(w.shape)
+    dcols = (g2 @ w.reshape(fh * fw * cin, cout).T).reshape(up.shape[:3] + (fh, fw, cin))
+    return y, [_ref_scatter(dcols, x.shape, stride, pads), dw, g2.sum(axis=0)]
+
+
+def _ref_pool(x, k, stride, up):
+    cols, pads = _ref_windows(x, k, k, stride, -np.inf)
+    b, oh, ow = cols.shape[:3]
+    c = x.shape[3]
+    flat = cols.reshape(b, oh, ow, k * k, c)
+    arg = flat.argmax(axis=3)
+    y = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    dcols = np.zeros((b, oh, ow, k * k, c), dtype=up.dtype)
+    np.put_along_axis(dcols, arg[:, :, :, None, :], up[:, :, :, None, :], axis=3)
+    return y, [_ref_scatter(dcols.reshape(b, oh, ow, k, k, c), x.shape, stride, pads)]
+
+
+def _graph_op(kind, inputs, up, precision, **attrs):
+    """Forward value and input gradients of one op, given its upstream adjoint `up`.
+
+    loss = reduce_sum(op * up): reduce_sum's adjoint is ones, so the op's
+    adjoint is 1 * up, bitwise `up`.
+    """
+    dtype = np.float64 if precision == "double" else np.float32
+    g = Graph()
+    params = [g.parameter(f"p{i}", Tensor(a, dtype=dtype)) for i, a in enumerate(inputs)]
+    node = g.apply(kind, params, **attrs)
+    upn = g.placeholder("up")
+    loss = g.apply("reduce_sum", [g.apply("mul", [node, upn])])
+    y = g.forward({upn: Tensor(up, dtype=dtype)}, outputs=[node, loss], precision=precision)[node].data
+    grads = g.backward(loss)
+    return y, [grads[p].data for p in params]
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _upstream(rng, shape, dtype):
+    # random adjoint with some exact zeros of both signs
+    up = rng.standard_normal(shape).astype(dtype)
+    up[rng.random(shape) < 0.2] = 0.0
+    up[rng.random(shape) < 0.2] = -0.0
+    return up
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize(
+    "x_shape, cout, stride",
+    [((2, 8, 6, 3), 4, 1), ((2, 7, 5, 3), 4, 1), ((3, 2, 2, 80), 16, 1),
+     ((2, 8, 6, 3), 4, 2), ((1, 16, 16, 1), 32, 2), ((2, 7, 7, 8), 4, 2),
+     ((2, 211, 7, 1), 32, 2), ((1, 7, 5, 2), 3, 3)],
+)
+def test_conv2d_1x1_is_bitwise_the_generic_path(x_shape, cout, stride, precision):
+    dtype = np.float64 if precision == "double" else np.float32
+    rng = np.random.default_rng(sum(x_shape) + cout + stride)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal((1, 1, x_shape[3], cout)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    oh, ow = math.ceil(x_shape[1] / stride), math.ceil(x_shape[2] / stride)
+    up = _upstream(rng, (x_shape[0], oh, ow, cout), dtype)
+    up[0, 0, 0, :] = -0.0  # a pixel whose whole adjoint is -0.0
+    y, grads = _graph_op("conv2d", [x, w, b], up, precision, stride=stride)
+    want_y, want_grads = _ref_conv(x, w, b, stride, up)
+    _assert_same_bytes(y, want_y)
+    for got, want in zip(grads, want_grads):
+        _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize(
+    "x_shape, fshape, stride",
+    [((2, 9, 5, 3), (3, 3, 3, 4), 2), ((1, 6, 6, 2), (5, 5, 2, 3), 1), ((2, 4, 4, 2), (2, 2, 2, 2), 2)],
+)
+def test_conv2d_kxk_is_bitwise_the_padded_reference(x_shape, fshape, stride):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    w = rng.standard_normal(fshape).astype(np.float32)
+    b = rng.standard_normal(fshape[3]).astype(np.float32)
+    oh, ow = math.ceil(x_shape[1] / stride), math.ceil(x_shape[2] / stride)
+    up = _upstream(rng, (x_shape[0], oh, ow, fshape[3]), np.float32)
+    y, grads = _graph_op("conv2d", [x, w, b], up, "single", stride=stride)
+    want_y, want_grads = _ref_conv(x, w, b, stride, up)
+    _assert_same_bytes(y, want_y)
+    for got, want in zip(grads, want_grads):
+        _assert_same_bytes(got, want)
+
+
+def _tie_windows(shape, rng):
+    # 2x2 windows of all-equal values, -inf, NaN and +-0.0 ties among random ones
+    x = rng.standard_normal(shape).astype(np.float32)
+    x[:, 0:2, 0:2, :] = 1.5
+    x[:, 0:2, 2:4, :] = -np.inf
+    x[:, 2:4, 0:2, 0] = [[0.0, -0.0], [-0.0, 0.0]]
+    x[:, 2:4, 0:2, 1:] = [[-0.0], [0.0]]
+    x[:, 2:4, 2:4, :] = -1.0
+    x[:, 3, 2, :] = np.nan
+    x[:, 2, 3, :] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize(
+    "x_shape, k, stride",
+    [# windows that tile the input, with no padding
+     ((2, 8, 8, 3), 2, 2), ((1, 4, 4, 2), 2, 2), ((2, 4, 6, 3), 2, 2), ((3, 106, 4, 32), 2, 2),
+     ((1, 6, 9, 2), 3, 3), ((1, 2, 2, 3), 2, 2), ((2, 5, 4, 3), 1, 2),
+     # padded windows (odd extents) and overlapping ones
+     ((1, 5, 5, 2), 2, 2), ((2, 7, 4, 3), 2, 2), ((2, 4, 5, 2), 2, 2), ((2, 6, 6, 2), 3, 2),
+     # identity
+     ((2, 53, 2, 32), 1, 1), ((1, 4, 4, 2), 1, 1)],
+)
+def test_maxpool_paths_are_bitwise_the_generic_path(x_shape, k, stride, precision):
+    dtype = np.float64 if precision == "double" else np.float32
+    rng = np.random.default_rng(x_shape[1] * 7 + k)
+    x = _tie_windows(x_shape, rng) if x_shape[1] >= 4 and x_shape[2] >= 4 else rng.standard_normal(x_shape)
+    x = x.astype(dtype)
+    oh, ow = math.ceil(x_shape[1] / stride), math.ceil(x_shape[2] / stride)
+    up = rng.standard_normal((x_shape[0], oh, ow, x_shape[3])).astype(dtype)
+    if k > 1:  # the identity pool passes -0.0 through; the generic scatter gives +0.0
+        up = _upstream(rng, up.shape, dtype)
+    with np.errstate(invalid="ignore"):
+        y, grads = _graph_op("maxpool2d", [x], up, precision, kernel=k, stride=stride)
+        want_y, want_grads = _ref_pool(x, k, stride, up)
+    _assert_same_bytes(y, want_y)
+    _assert_same_bytes(grads[0], want_grads[0])
+
+
+def test_identity_pool_passes_values_through_without_copying():
+    x = np.random.default_rng(9).standard_normal((4, 64, 64, 16)).astype(np.float32)
+    g = Graph()
+    p = g.parameter("x", Tensor(x))
+    node = g.apply("maxpool2d", [p], kernel=1, stride=1)
+    out, peak = peak_alloc(lambda: g.forward({}, outputs=[node])[node])
+    assert np.array_equal(out.data, x)
+    assert peak < x.nbytes // 8, f"identity pool forward peaked at {peak / 2**20:.2f} MB"
