@@ -30,6 +30,12 @@ class OpDef:
     forward(args, attrs, ctx) -> (output array, saved context)
     backward(grad, args, out, saved, attrs) -> per-input gradient arrays
     (None for inputs the op never differentiates through).
+
+    Each gradient a backward rule returns is either `grad` or a view of it,
+    or an array the rule allocated itself; it never returns one fresh array
+    (or overlapping views of one) for two inputs, nor an argument, the
+    output or saved context. `Graph.backward` relies on this when it sums
+    fan-in in place.
     """
 
     forward: Callable
@@ -152,6 +158,10 @@ class Graph:
         """
         if mode not in (TRAIN, EVAL):
             raise GraphError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
+        if outputs is not None:
+            for i in outputs:
+                if not (isinstance(i, (int, np.integer)) and 0 <= i < len(self.nodes)):
+                    raise GraphError(f"output {i!r} is not a node of this graph")
         dtype = np.float64 if precision == "double" else np.float32
         needed = self._ancestors(outputs) if outputs is not None else set(range(len(self.nodes)))
         ctx = RunCtx(mode=mode, dropout_seed=dropout_seed)
@@ -184,6 +194,13 @@ class Graph:
         Returns the gradient tensor for every parameter node (zeros for
         parameters the loss does not depend on), read-only and uncopied.
         Requires a prior forward pass that computed the loss node.
+
+        A node with several consumers sums their gradients in place, with
+        `np.add(a, g, out=a)` (the same bits as `a + g`), but only into an
+        adjoint this pass owns: one a backward rule returned that shares no
+        memory with that rule's upstream `grad`, and that has the dtype and
+        shape of the contribution added to it, or one this pass built itself.
+        Any other sum allocates. No forward value is ever written.
         """
         if loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
@@ -191,6 +208,9 @@ class Graph:
         if loss.size != 1:
             raise GraphError(f"loss node must be scalar, got shape {loss.shape}")
         adjoints: dict[int, np.ndarray] = {loss_id: np.ones_like(loss)}
+        # per adjoint, the upstream grad of the rule that returned its first
+        # term, or None once it is an array this pass built itself
+        source: dict[int, np.ndarray | None] = {}
         needed = self._ancestors([loss_id])
         for node in reversed(self.nodes):
             if node.id not in needed or node.id not in adjoints:
@@ -205,10 +225,18 @@ class Graph:
             for inp, g in zip(node.inputs, in_grads):
                 if g is None:
                     continue
-                if inp in adjoints:
-                    adjoints[inp] = adjoints[inp] + g
-                else:
+                a = adjoints.get(inp)
+                if a is None:
                     adjoints[inp] = g
+                    source[inp] = grad
+                    continue
+                up = source[inp]
+                owned = up is None or (a.flags.writeable and not np.may_share_memory(a, up))
+                if owned and g.dtype == a.dtype and g.shape == a.shape:
+                    np.add(a, g, out=a)
+                else:
+                    adjoints[inp] = a + g
+                source[inp] = None
         out = {}
         for node in self.nodes:
             if node.is_parameter:

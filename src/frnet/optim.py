@@ -8,13 +8,14 @@ so it builds no full-size float64 temporary. Defaults: lr 0.001, beta1 0.9,
 beta2 0.999, epsilon 1e-8.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .nnops import _bce_fwd
-from .tensor import CHUNK, Tensor
+from .tensor import CHUNK, Tensor, run_chunked
 
 
 @dataclass
@@ -46,8 +47,10 @@ def adam_step(
     `params` must be the tensors produced by the previous step (or the ones
     the state was initialized from). All names and shapes are checked before
     the state changes, so a rejected call leaves it untouched. Updates run in
-    place over CHUNK elements at a time; every operation is elementwise, so
-    chunking changes no bit. Masters are rounded once on the way out.
+    place over CHUNK elements at a time, and `run_chunked` splits a large
+    parameter's range over two threads; every operation is elementwise, so
+    neither changes a bit. Each chunk of the masters is rounded to float32
+    once, into the returned parameter, while it is still in cache.
     """
     if not set(params) == set(grads) == set(state.m) == set(state.v) == set(state.master):
         raise ShapeMismatchError("adam_step: names of params, grads and optimizer state differ")
@@ -60,16 +63,12 @@ def adam_step(
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    buf_g = np.empty(CHUNK)
-    buf_a = np.empty(CHUNK)
-    out = {}
-    for name in params:
-        for slot in (state.m, state.v, state.master):
-            slot[name] = np.require(slot[name], np.float64, ["C", "W"])
-        g = grads[name].data.reshape(-1)
-        m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
-        for s in range(0, g.size, CHUNK):
-            k = min(CHUNK, g.size - s)
+
+    def update(g, m, v, w, w32, lo, hi):
+        buf_g = np.empty(min(CHUNK, hi - lo))
+        buf_a = np.empty_like(buf_g)
+        for s in range(lo, hi, CHUNK):
+            k = min(CHUNK, hi - s)
             gc, a = buf_g[:k], buf_a[:k]
             mc, vc, wc = m[s : s + k], v[s : s + k], w[s : s + k]
             np.copyto(gc, g[s : s + k])
@@ -83,7 +82,17 @@ def adam_step(
             np.add(np.sqrt(np.divide(vc, bc2, out=gc), out=gc), eps, out=gc)
             np.multiply(np.divide(mc, bc1, out=a), lr, out=a)
             np.subtract(wc, np.divide(a, gc, out=a), out=wc)
-        out[name] = Tensor._wrap(state.master[name].astype(np.float32))
+            np.copyto(w32[s : s + k], wc, casting="same_kind")
+
+    out = {}
+    for name, p in params.items():
+        for slot in (state.m, state.v, state.master):
+            slot[name] = np.require(slot[name], np.float64, ["C", "W"])
+        g = grads[name].data.reshape(-1)
+        m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
+        new = np.empty(p.shape, dtype=np.float32)
+        run_chunked(g.size, functools.partial(update, g, m, v, w, new.reshape(-1)))
+        out[name] = Tensor._wrap(new)
     return out
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from frnet.autodiff import EVAL, TRAIN, Graph, op_kinds
+from conftest import peak_alloc
+from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, op_kinds
 from frnet.errors import GraphError
 from frnet.tensor import Tensor
 
@@ -223,3 +224,117 @@ def test_returned_tensors_survive_later_passes():
         a.tobytes() for a in kept
     ]
     assert not grads[w].data.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [5, 2, -1, "z", 1.0, None])
+def test_forward_rejects_outputs_that_are_not_nodes(bad):
+    g = Graph()
+    x = g.placeholder("x")
+    y = g.apply("relu", [x])
+    with pytest.raises(GraphError, match=f"output {bad!r} is not a node"):
+        g.forward({x: Tensor([1.0])}, outputs=[y, bad])
+    assert g.forward({x: Tensor([-1.0])}, outputs=[np.int64(y)])[y].tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# fan-in summed in place, against the backward pass that allocates every sum
+
+
+def _allocating_backward(g, loss_id):
+    # the backward pass as first written: every fan-in sum is a fresh a + g
+    adjoints = {loss_id: np.ones_like(g._values[loss_id])}
+    for node in reversed(g.nodes):
+        if node.id not in adjoints or not node.inputs:
+            continue
+        args = [g._values[i] for i in node.inputs]
+        in_grads = _REGISTRY[node.op].backward(
+            adjoints[node.id], args, g._values[node.id], g._saved.get(node.id), node.attrs
+        )
+        for inp, d in zip(node.inputs, in_grads):
+            if d is not None:
+                adjoints[inp] = adjoints[inp] + d if inp in adjoints else d
+    return {i: adjoints[i].copy() for i in g.parameters().values()}
+
+
+def _assert_backward_matches_allocating_sums(g, loss, **forward):
+    g.forward({}, outputs=[loss], **forward)
+    before = {i: (v.dtype, v.tobytes()) for i, v in g._values.items()}
+    want = _allocating_backward(g, loss)
+    got = g.backward(loss)
+    assert set(got) == set(want)
+    for i, w in want.items():
+        assert got[i].data.dtype == w.dtype
+        assert got[i].data.tobytes() == w.tobytes(), g.nodes[i].name
+    assert {i: (v.dtype, v.tobytes()) for i, v in g._values.items()} == before
+
+
+def _param(g, name, shape, rng):
+    return g.parameter(name, Tensor(rng.standard_normal(shape).astype(np.float32)))
+
+
+def test_fan_in_of_one_grad_fed_to_both_inputs():
+    # add(x, x) hands x the same upstream adjoint twice, and that adjoint is
+    # also w's gradient: summing into it in place would double w's gradient
+    rng = np.random.default_rng(31)
+    g = Graph()
+    x, w, k = (_param(g, n, (3, 4), rng) for n in "xwk")
+    y = g.apply("add", [x, x])
+    z = g.apply("add", [y, w])
+    loss = g.apply("reduce_sum", [g.apply("mul", [z, k])])
+    _assert_backward_matches_allocating_sums(g, loss)
+
+
+def test_fan_in_of_a_flatten_reshape_concat_diamond():
+    # x reaches the output through concat(x, x) and through flatten ->
+    # reshape -> add(., p) views. The view branch arrives first, and it shares
+    # memory with p's gradient, so the sums into x must not reuse it.
+    rng = np.random.default_rng(32)
+    g = Graph()
+    x, p = (_param(g, n, (2, 3, 3, 2), rng) for n in "xp")
+    c = g.apply("concat", [x, x])
+    r = g.apply("reshape", [g.apply("flatten", [x])], item_shape=(3, 3, 2))
+    e = g.apply("add", [r, p])
+    k = _param(g, "k", (2, 3, 3, 6), rng)
+    loss = g.apply("reduce_sum", [g.apply("mul", [g.apply("concat", [e, c]), k])])
+    _assert_backward_matches_allocating_sums(g, loss)
+
+
+def _three_way_fan_in(rng):
+    # x feeds a mul, an l2 penalty and an add; the add's adjoint is an alias
+    # of w's gradient and arrives first, the other two are fresh arrays
+    g = Graph()
+    x, w, k1, k2 = (_param(g, n, (4, 5), rng) for n in ("x", "w", "k1", "k2"))
+    t1 = g.apply("mul", [x, k1])
+    t2 = g.apply("l2_penalty", [x], scale=0.01)
+    t3 = g.apply("add", [x, w])
+    s = g.apply("add", [t1, t3])
+    data = g.apply("reduce_sum", [g.apply("mul", [s, k2])])
+    return g, g.apply("add", [data, t2])
+
+
+def test_three_way_fan_in():
+    g, loss = _three_way_fan_in(np.random.default_rng(33))
+    _assert_backward_matches_allocating_sums(g, loss)
+
+
+def test_fan_in_on_the_float64_shadow_pass():
+    g, loss = _three_way_fan_in(np.random.default_rng(34))
+    _assert_backward_matches_allocating_sums(g, loss, precision="double")
+    assert all(g.value(i).dtype == np.float64 for i in g.parameters().values())
+
+
+def test_dense_weight_with_l2_term_sums_its_gradient_in_place():
+    # the matmul and the l2 penalty each hand w a weight-sized gradient; their
+    # sum goes into one of them rather than into a third weight-sized array
+    rng = np.random.default_rng(35)
+    g = Graph()
+    x = g.placeholder("x")
+    w = _param(g, "w", (1024, 1024), rng)
+    h = g.apply("matmul", [x, w])
+    loss = g.apply("add", [g.apply("reduce_mean", [h]), g.apply("l2_penalty", [w], scale=0.001)])
+    g.forward({x: Tensor(rng.standard_normal((8, 1024)).astype(np.float32))}, outputs=[loss])
+    want = _allocating_backward(g, loss)[w]
+    grads, peak = peak_alloc(lambda: g.backward(loss))
+    nbytes = g.value(w).data.nbytes
+    assert peak < 2.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
+    assert grads[w].data.tobytes() == want.tobytes()

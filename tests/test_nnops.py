@@ -9,8 +9,8 @@ from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import Conv, Input, NetworkSpec, infer_shapes
-from frnet.nnops import same_pad
-from frnet.tensor import Tensor
+from frnet.nnops import _l2_penalty_fwd, same_pad
+from frnet.tensor import CHUNK, Tensor
 
 
 def _pad_oracle(extent, filt, stride):
@@ -252,6 +252,29 @@ def test_l2_penalty_value_matches_float64_sum_of_squares(shape):
     got = float(g.forward({}, outputs=[node], precision="double")[node].data[0])
     want = float(np.sum(np.square(w, dtype=np.float64)))
     assert abs(got - want) <= 1e-12 * want
+
+
+def _sequential_l2_value(w, scale):
+    # the single-threaded chunk loop: float64 sums of squares of each CHUNK,
+    # added in chunk order
+    flat, buf = w.reshape(-1), np.empty(CHUNK)
+    total = 0.0
+    for s in range(0, flat.size, CHUNK):
+        c = buf[: min(CHUNK, flat.size - s)]
+        np.copyto(c, flat[s : s + CHUNK])
+        total += np.square(c, out=c).sum()
+    return np.array([scale * total], dtype=w.dtype)
+
+
+@pytest.mark.parametrize("n", [1, 129, CHUNK - 1, CHUNK + 5, 7 * CHUNK + 3, 17 * CHUNK - 17])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_l2_penalty_value_is_bitwise_equal_to_the_sequential_chunk_loop(n, dtype):
+    # the reported loss, and so the loss curves, depend on this summation order
+    rng = np.random.default_rng(n)
+    # magnitudes over many binades, so that any change in summation order shows
+    w = (rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)).astype(dtype)
+    got, _ = _l2_penalty_fwd([w], {"scale": 0.001}, None)
+    assert got.tobytes() == _sequential_l2_value(w, 0.001).tobytes()
 
 
 def test_l2_penalty_forward_builds_no_full_size_temporary():

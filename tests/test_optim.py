@@ -1,15 +1,17 @@
 """Adam updates, binary cross-entropy, and loss composition."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import peak_alloc, scalar_adam_reference
+from frnet import tensor
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import build_frnet1, compile_model
 from frnet.optim import AdamState, adam_step, bce_loss
-from frnet.tensor import CHUNK, Tensor
+from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor
 
 
 def test_state_init_matches_parameter_shapes():
@@ -162,6 +164,87 @@ def test_rejected_adam_step_leaves_state_untouched():
         assert _snapshot(state) == before
     with pytest.raises(ShapeMismatchError):
         adam_step({**params, "z": Tensor([1.0, 2.0])}, good, state)
+    assert _snapshot(state) == before
+
+
+def _adam_against_reference(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    params = {"w": Tensor(rng.standard_normal(n).astype(np.float32)), "b": Tensor([0.5, -1.5])}
+    got_state = AdamState.init(params, lr=0.01)
+    ref_state = AdamState.init(params, lr=0.01)
+    got = ref = params
+    for step in range(steps):
+        scale = 10.0 ** (step % 5 - 2)
+        grads = {
+            "w": Tensor((scale * rng.standard_normal(n)).astype(np.float32)),
+            "b": Tensor((scale * rng.standard_normal(2)).astype(np.float32)),
+        }
+        got = adam_step(got, grads, got_state)
+        ref = _reference_adam_step(ref, grads, ref_state)
+        for name in params:
+            assert got[name].data.tobytes() == ref[name].data.tobytes()
+            for slot in ("m", "v", "master"):
+                a, b = getattr(got_state, slot)[name], getattr(ref_state, slot)[name]
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """Count the helper threads `run_chunked` starts, with two usable CPUs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(tensor.threading, "Thread", Counted)
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    return started
+
+
+@pytest.mark.parametrize(
+    "n",
+    [PARALLEL_MIN - 1, PARALLEL_MIN, PARALLEL_MIN + 1, 17 * CHUNK - 1, 17 * CHUNK + 1, 23 * CHUNK + 3],
+    ids=["below-threshold", "at-threshold", "above-threshold", "17C-1", "17C+1", "23C+3"],
+)
+def test_threaded_adam_is_bitwise_equal_to_allocating_formula(n, helper_threads):
+    _adam_against_reference(n, steps=4, seed=n)
+    assert len(helper_threads) == (0 if n < PARALLEL_MIN else 4)
+
+
+def test_adam_on_one_cpu_runs_on_the_calling_thread(monkeypatch, helper_threads):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0})
+    _adam_against_reference(23 * CHUNK + 3, steps=3, seed=5)
+    assert helper_threads == []
+
+
+def test_adam_worker_exception_surfaces(monkeypatch, helper_threads):
+    n = PARALLEL_MIN + 7
+    params = {"w": Tensor(np.ones(n, dtype=np.float32))}
+    state = AdamState.init(params)
+    sqrt = np.sqrt
+
+    def sqrt_failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper thread failed")
+        return sqrt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", sqrt_failing_off_the_main_thread)
+    with pytest.raises(RuntimeError, match="helper thread failed"):
+        adam_step(params, {"w": Tensor(np.ones(n, dtype=np.float32))}, state)
+    assert len(helper_threads) == 1
+
+
+def test_rejected_threaded_adam_step_leaves_state_untouched():
+    n = PARALLEL_MIN + 7
+    params = {"a": Tensor(np.linspace(-1, 1, n, dtype=np.float32)), "z": Tensor([[1.0], [2.0]])}
+    state = AdamState.init(params)
+    good = {"a": Tensor(np.linspace(1, -1, n, dtype=np.float32)), "z": Tensor([[0.3], [0.4]])}
+    params = adam_step(params, good, state)
+    before = _snapshot(state)
+    with pytest.raises(ShapeMismatchError):
+        adam_step(params, {"a": good["a"], "z": Tensor([0.3, 0.4])}, state)
     assert _snapshot(state) == before
 
 

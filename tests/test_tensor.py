@@ -1,12 +1,15 @@
-"""Tensor construction and ownership; the graph's reshape, elementwise,
-matmul and channel-concat ops against oracles."""
+"""Tensor construction and ownership, `run_chunked`, and the graph's reshape,
+elementwise, matmul and channel-concat ops against oracles."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import run_op
+from frnet import tensor
 from frnet.errors import ShapeMismatchError
-from frnet.tensor import Tensor
+from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor, run_chunked
 
 
 def test_construction_and_flat_order():
@@ -148,3 +151,49 @@ def test_concat_then_slice_recovers_parts_bitwise():
         c = p.shape[3]
         assert np.array_equal(out[:, :, :, start : start + c], p)
         start += c
+
+
+def _pieces(n):
+    seen = []
+
+    def body(lo, hi):
+        seen.append((lo, hi, threading.current_thread() is threading.main_thread()))
+        return (lo, hi)
+
+    return run_chunked(n, body), sorted(seen)
+
+
+@pytest.mark.parametrize(
+    "n", [1, PARALLEL_MIN - 1, PARALLEL_MIN, PARALLEL_MIN + 1, 17 * CHUNK + 1, 23 * CHUNK + 3, 10**9]
+)
+def test_run_chunked_splits_at_a_chunk_boundary_over_two_threads(n, monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    results, seen = _pieces(n)
+    if n < PARALLEL_MIN:
+        assert results == [(0, n)] and seen == [(0, n, True)]
+        return
+    (lo0, mid, main0), (mid1, hi, main1) = seen
+    assert (lo0, mid1, hi) == (0, mid, n) and mid % CHUNK == 0
+    assert abs((n - mid) - mid) <= CHUNK
+    assert (main0, main1) == (True, False)
+    assert results == [(0, mid), (mid, n)]
+
+
+def test_run_chunked_on_one_cpu_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {3})
+    n = 23 * CHUNK + 3
+    assert _pieces(n) == ([(0, n)], [(0, n, True)])
+
+
+def test_run_chunked_reraises_the_helper_threads_exception(monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    done = []
+
+    def body(lo, hi):
+        if lo > 0:
+            raise KeyError("upper piece")
+        done.append((lo, hi))
+
+    with pytest.raises(KeyError, match="upper piece"):
+        run_chunked(PARALLEL_MIN, body)
+    assert done == [(0, PARALLEL_MIN // 2)]
