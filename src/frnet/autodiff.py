@@ -36,6 +36,13 @@ class OpDef:
     (or overlapping views of one) for two inputs, nor an argument, the
     output or saved context. `Graph.backward` relies on this when it sums
     fan-in in place.
+
+    A one-input kind registered with `adds_into=True` also accepts
+    backward(..., into=adjoint): `into` is the input's adjoint so far, a
+    C-contiguous array of the input's shape and dtype that the pass owns.
+    The rule adds its gradient into it, in place, and returns `(into,)`. It
+    is passed only when such an adjoint exists, so the rule still allocates
+    when it is the input's first consumer in the reverse walk.
     """
 
     forward: Callable
@@ -43,12 +50,17 @@ class OpDef:
 
 
 _REGISTRY: dict[str, OpDef] = {}
+# Kinds whose backward rule accepts `into=`. Kept by kind, apart from the
+# OpDef, so a registry entry rebuilt around wrapped kernels keeps it.
+_ADDS_INTO: set[str] = set()
 
 
-def register_op(kind: str, forward: Callable, backward: Callable) -> None:
+def register_op(kind: str, forward: Callable, backward: Callable, adds_into: bool = False) -> None:
     if kind in _REGISTRY:
         raise ValueError(f"operator kind {kind!r} already registered")
     _REGISTRY[kind] = OpDef(forward, backward)
+    if adds_into:
+        _ADDS_INTO.add(kind)
 
 
 def op_kinds() -> list[str]:
@@ -200,7 +212,13 @@ class Graph:
         adjoint this pass owns: one a backward rule returned that shares no
         memory with that rule's upstream `grad`, and that has the dtype and
         shape of the contribution added to it, or one this pass built itself.
-        Any other sum allocates. No forward value is ever written.
+        When the consumer is a kind registered with `adds_into` and its
+        input's owned adjoint is C-contiguous with the input's dtype and
+        shape, that adjoint is handed to the rule as `into=`, and the rule
+        adds its term there without a gradient-sized temporary (so an l2
+        penalty created before the matmul or conv reading its weight adds
+        into that op's fresh weight gradient). Any other sum allocates. No
+        forward value is ever written.
         """
         if loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
@@ -212,6 +230,11 @@ class Graph:
         # term, or None once it is an array this pass built itself
         source: dict[int, np.ndarray | None] = {}
         needed = self._ancestors([loss_id])
+
+        def owned(inp):
+            a, up = adjoints[inp], source[inp]
+            return up is None or (a.flags.writeable and not np.may_share_memory(a, up))
+
         for node in reversed(self.nodes):
             if node.id not in needed or node.id not in adjoints:
                 continue
@@ -219,8 +242,14 @@ class Graph:
                 continue
             grad = adjoints[node.id]
             args = [self._values[i] for i in node.inputs]
+            extra = {}
+            if node.op in _ADDS_INTO:
+                a, x = adjoints.get(node.inputs[0]), args[0]
+                if (a is not None and owned(node.inputs[0]) and a.flags.c_contiguous
+                        and a.dtype == x.dtype and a.shape == x.shape):
+                    extra["into"] = a
             in_grads = _REGISTRY[node.op].backward(
-                grad, args, self._values[node.id], self._saved.get(node.id), node.attrs
+                grad, args, self._values[node.id], self._saved.get(node.id), node.attrs, **extra
             )
             for inp, g in zip(node.inputs, in_grads):
                 if g is None:
@@ -230,9 +259,9 @@ class Graph:
                     adjoints[inp] = g
                     source[inp] = grad
                     continue
-                up = source[inp]
-                owned = up is None or (a.flags.writeable and not np.may_share_memory(a, up))
-                if owned and g.dtype == a.dtype and g.shape == a.shape:
+                if g is extra.get("into"):
+                    pass  # the rule added its term into a
+                elif owned(inp) and g.dtype == a.dtype and g.shape == a.shape:
                     np.add(a, g, out=a)
                 else:
                     adjoints[inp] = a + g

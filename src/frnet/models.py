@@ -319,9 +319,17 @@ def _lower(spec: NetworkSpec, g: Graph):
         return node
 
     def affine(name, src, w_shape, activation, l2, stride=1):
-        """Conv (4-d weight) or dense (2-d weight) plus bias, activation and l2 term."""
+        """Conv (4-d weight) or dense (2-d weight) plus bias, activation and l2 term.
+
+        The l2 node comes before the op that reads w, so the reverse walk
+        reaches that op first and the penalty adds into its fresh gradient
+        of w. The block's node count does not depend on the order, so the
+        ids outside it (which seed the dropout masks) stay put.
+        """
         w = param(f"{name}/w", w_shape)
         b = param(f"{name}/b", w_shape[-1:])
+        if l2 > 0:
+            l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
         if len(w_shape) == 4:
             node = g.apply("conv2d", [src, w, b], name=name, stride=stride)
         else:
@@ -329,8 +337,6 @@ def _lower(spec: NetworkSpec, g: Graph):
             node = g.apply("bias_add", [node, b], name=f"{name}/badd")
         if activation != "none":
             node = g.apply(activation, [node], name=f"{name}/{activation}")
-        if l2 > 0:
-            l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
         return node
 
     for k, layer in enumerate(spec.layers):

@@ -24,6 +24,13 @@ Every path gives the same bytes, forward and backward, as the SAME-padded
 path that copies each window and takes its argmax (the tests keep that path
 as the reference), with one exception: the identity pool's backward passes a
 -0.0 adjoint through, where a zero-filled scatter gives +0.0.
+
+The l2 penalty is registered with `adds_into`: when its weight's gradient
+already holds the conv's or matmul's term, the graph hands that array over
+and the rule adds `c * w` into it (one CHUNK at a time for a weight larger
+than one CHUNK), so a weight with an l2 term gets one weight-sized gradient,
+not two and their sum. Float addition and multiplication are commutative,
+so the bits equal `dw + c * w`.
 """
 
 import math
@@ -405,9 +412,24 @@ def _l2_penalty_fwd(args, attrs, ctx):
     return np.array([attrs["scale"] * total], dtype=w.dtype), None
 
 
-def _l2_penalty_bwd(grad, args, out, saved, attrs):
+def _l2_penalty_bwd(grad, args, out, saved, attrs, into=None):
+    # d/dw = c * w. Handed w's adjoint, the rule adds c * w into it: as one
+    # product for a weight of at most one CHUNK (no larger than the scratch),
+    # else one CHUNK at a time through one scratch buffer. It allocates a
+    # weight-sized gradient only when there is no adjoint to add into.
     (w,) = args
-    return (grad[0] * 2.0 * attrs["scale"] * w,)
+    c = grad[0] * 2.0 * attrs["scale"]
+    if into is None:
+        return (c * w,)
+    if w.size <= CHUNK:
+        np.add(into, c * w, out=into)
+        return (into,)
+    flat, acc = w.reshape(-1), into.reshape(-1)
+    buf = np.empty(CHUNK, dtype=into.dtype)
+    for s in range(0, flat.size, CHUNK):
+        a = acc[s : s + CHUNK]
+        np.add(a, np.multiply(flat[s : s + CHUNK], c, out=buf[: a.size]), out=a)
+    return (into,)
 
 
 register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
@@ -426,5 +448,5 @@ register_op("mul", _mul_fwd, _mul_bwd)
 register_op("reduce_sum", _sum_fwd, _sum_bwd)
 register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("bce", _bce_fwd, _bce_bwd)
-register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd)
+register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd, adds_into=True)
 

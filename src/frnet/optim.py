@@ -50,7 +50,9 @@ def adam_step(
     place over CHUNK elements at a time, and `run_chunked` splits a large
     parameter's range over two threads; every operation is elementwise, so
     neither changes a bit. Each chunk of the masters is rounded to float32
-    once, into the returned parameter, while it is still in cache.
+    once, into the returned parameter, while it is still in cache. The
+    chunks go through one pair of CHUNK-sized float64 scratch buffers per
+    range piece, allocated once per step and shared by every parameter.
     """
     if not set(params) == set(grads) == set(state.m) == set(state.v) == set(state.master):
         raise ShapeMismatchError("adam_step: names of params, grads and optimizer state differ")
@@ -64,9 +66,13 @@ def adam_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
 
+    # run_chunked's lower piece starts at 0 and runs on this thread, its
+    # upper piece (if any) on the helper thread: one scratch pair each
+    width = min(CHUNK, max((p.size for p in params.values()), default=1))
+    scratch = [(np.empty(width), np.empty(width)) for _ in range(2)]
+
     def update(g, m, v, w, w32, lo, hi):
-        buf_g = np.empty(min(CHUNK, hi - lo))
-        buf_a = np.empty_like(buf_g)
+        buf_g, buf_a = scratch[int(lo > 0)]
         for s in range(lo, hi, CHUNK):
             k = min(CHUNK, hi - s)
             gc, a = buf_g[:k], buf_a[:k]

@@ -17,8 +17,9 @@ from .errors import ShapeMismatchError
 
 Shape = tuple[int, ...]
 
-# Elements per slice of chunked float64 work over float32 storage (Adam, the
-# l2 penalty value), which thereby builds no full-size float64 temporary.
+# Elements per slice of chunked work over float32 storage (Adam and the l2
+# penalty value in float64, the l2 gradient added into its weight's
+# gradient), which thereby builds no full-size temporary.
 CHUNK = 1 << 16
 
 # Elements below which `run_chunked` stays on the calling thread. On the

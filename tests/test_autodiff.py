@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import peak_alloc
-from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, op_kinds
+from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, OpDef, op_kinds
 from frnet.errors import GraphError
+from frnet.models import Conv, Dense, Flatten, Input, NetworkSpec, compile_model
 from frnet.tensor import Tensor
 
 
@@ -338,3 +339,48 @@ def test_dense_weight_with_l2_term_sums_its_gradient_in_place():
     nbytes = g.value(w).data.nbytes
     assert peak < 2.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
     assert grads[w].data.tobytes() == want.tobytes()
+
+
+def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
+    # As lowered, each l2 node precedes the conv or matmul reading its weight,
+    # so it meets that op's fresh gradient and adds into it: backward holds
+    # one gradient per weight. The same must hold with every registry entry
+    # rebuilt around pass-through *args, **kwargs wrappers, as a tracer does.
+    spec = NetworkSpec("tiny", (
+        Input("in", (), (16, 16, 1)),
+        Conv("conv", ("in",), 3, 3, 8, 1, "relu", 0.01),
+        Flatten("flat", ("conv",)),
+        Dense("fc", ("flat",), 500, "sigmoid", 0.001),  # 15.6 CHUNKs: a partial last chunk
+    ))
+    model = compile_model(spec, init_seed=3)
+    rng = np.random.default_rng(36)
+    feeds = {
+        model.input_id: Tensor(rng.random((4, 16, 16, 1), dtype=np.float32)),
+        model.target_id: Tensor((rng.random((4, 500)) < 0.5).astype(np.float32)),
+    }
+    g, loss = model.graph, model.loss_id
+    g.forward(feeds, mode=TRAIN, dropout_seed=1, outputs=[loss])
+    want = _allocating_backward(g, loss)
+    plain, plain_peak = peak_alloc(lambda: g.backward(loss))
+
+    l2_calls = []
+
+    def passthrough(fn, kind):
+        def wrapped(*args, **kwargs):
+            if kind == "l2_penalty":
+                l2_calls.append(set(kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for kind, op in list(_REGISTRY.items()):
+        monkeypatch.setitem(_REGISTRY, kind, OpDef(passthrough(op.forward, kind),
+                                                   passthrough(op.backward, kind)))
+    traced, traced_peak = peak_alloc(lambda: g.backward(loss))
+
+    nbytes = max(v.data.nbytes for v in model.params().values())
+    for peak in (plain_peak, traced_peak):
+        assert peak < 1.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
+    assert abs(traced_peak - plain_peak) < 0.05 * nbytes
+    assert l2_calls == [{"into"}, {"into"}]
+    for i, w in want.items():
+        assert plain[i].data.tobytes() == w.tobytes() == traced[i].data.tobytes(), g.nodes[i].name

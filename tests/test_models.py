@@ -231,6 +231,47 @@ def test_train_step_returns_gradients_for_all_parameters():
     assert total >= data > 0.0
 
 
+# Every node outside an affine block (weight, bias, l2 term, conv or matmul
+# and bias add, activation), by id: dropout masks are seeded by node id, so
+# these ids are part of what a trained model is. The loss accumulators are
+# named after the l2 node they add, so only their ids are pinned.
+_FRNET1_OUTSIDE = {
+    0: ("input", "x"), 6: ("maxpool2d", "pool1"), 37: ("maxpool2d", "incep1/pool"),
+    38: ("concat", "incep1"), 39: ("flatten", "flat"), 52: ("dropout", "drop"),
+    59: ("input", "y"), 60: ("bce", "data_loss"),
+    **{i: ("add", "loss_acc") for i in range(61, 71)},
+}
+_FRNET2_OUTSIDE = {
+    0: ("input", "x"), 6: ("maxpool2d", "pool1"), 37: ("maxpool2d", "incep_s1/pool"),
+    38: ("concat", "incep_s1"), 39: ("maxpool2d", "pool_s1"), 70: ("maxpool2d", "incep_s2/pool"),
+    71: ("concat", "incep_s2"), 72: ("concat", "merge"), 103: ("maxpool2d", "incep_top/pool"),
+    104: ("concat", "incep_top"), 105: ("flatten", "flat"), 118: ("dropout", "drop"),
+    125: ("input", "y"), 126: ("bce", "data_loss"),
+    **{i: ("add", "loss_acc") for i in range(127, 149)},
+}
+_AFFINE_OPS = {"param", "l2_penalty", "conv2d", "matmul", "bias_add", "relu", "sigmoid"}
+
+
+@pytest.mark.parametrize("spec, want", [
+    (build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128)), _FRNET1_OUTSIDE),
+    (build_frnet2(feature_count=256, hidden=(64, 32)), _FRNET2_OUTSIDE),
+], ids=["frnet1", "frnet2"])
+def test_lowering_keeps_the_ids_outside_affine_blocks(spec, want):
+    g = compile_model(spec, init_seed=0, random_init=False).graph
+    got = {}
+    for n in g.nodes:
+        if n.op in _AFFINE_OPS:
+            continue
+        if n.name.startswith("loss_acc_"):
+            term = g.nodes[n.inputs[1]]
+            assert term.op == "l2_penalty" and n.name == f"loss_acc_{term.id}"
+            got[n.id] = (n.op, "loss_acc")
+        else:
+            got[n.id] = (n.op, n.name)
+    assert got == want
+    assert len(g.nodes) == max(want) + 1
+
+
 def test_spec_dict_round_trip():
     for spec in (build_frnet1(), build_frnet2()):
         again = spec_from_dict(spec_to_dict(spec))
