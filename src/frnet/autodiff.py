@@ -43,6 +43,14 @@ class OpDef:
     The rule adds its gradient into it, in place, and returns `(into,)`. It
     is passed only when such an adjoint exists, so the rule still allocates
     when it is the input's first consumer in the reverse walk.
+
+    A kind registered with `writes_bufs=True` also accepts
+    backward(..., bufs=buffers): one entry per input, the gradient buffer of
+    a parameter input whose first term this is (and which appears once among
+    the inputs), else None. A buffer is C-contiguous, writeable and has the
+    input's shape and dtype. The rule may write that input's gradient into
+    it and return the buffer itself; a term it returns in a fresh array
+    instead is copied into the buffer by the graph.
     """
 
     forward: Callable
@@ -53,14 +61,19 @@ _REGISTRY: dict[str, OpDef] = {}
 # Kinds whose backward rule accepts `into=`. Kept by kind, apart from the
 # OpDef, so a registry entry rebuilt around wrapped kernels keeps it.
 _ADDS_INTO: set[str] = set()
+# Kinds whose backward rule accepts `bufs=`, kept the same way.
+_WRITES_BUFS: set[str] = set()
 
 
-def register_op(kind: str, forward: Callable, backward: Callable, adds_into: bool = False) -> None:
+def register_op(kind: str, forward: Callable, backward: Callable, adds_into: bool = False,
+                writes_bufs: bool = False) -> None:
     if kind in _REGISTRY:
         raise ValueError(f"operator kind {kind!r} already registered")
     _REGISTRY[kind] = OpDef(forward, backward)
     if adds_into:
         _ADDS_INTO.add(kind)
+    if writes_bufs:
+        _WRITES_BUFS.add(kind)
 
 
 def op_kinds() -> list[str]:
@@ -89,13 +102,30 @@ class Node:
 
 @dataclass
 class Graph:
-    """Append-only operator graph; creation order is the evaluation order."""
+    """Append-only operator graph; creation order is the evaluation order.
+
+    The graph owns one gradient buffer per parameter node, made by the first
+    backward pass that reaches it and overwritten by every later one.
+    """
 
     nodes: list[Node] = field(default_factory=list)
 
     def __post_init__(self):
         self._values: dict[int, np.ndarray] = {}
         self._saved: dict[int, object] = {}
+        self._grad_bufs: dict[int, np.ndarray] = {}
+
+    def _grad_buffer(self, node_id: int, shape, dtype) -> np.ndarray:
+        """Parameter `node_id`'s gradient buffer, writeable, of `shape` and `dtype`.
+
+        A buffer of another shape or dtype (as on the float64 shadow pass) is
+        replaced, not reused.
+        """
+        buf = self._grad_bufs.get(node_id)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._grad_bufs[node_id] = np.empty(shape, dtype)
+        buf.flags.writeable = True
+        return buf
 
     def _add(self, op, inputs, attrs, name, is_parameter=False, value=None) -> int:
         for i in inputs:
@@ -164,7 +194,9 @@ class Graph:
         are computed, and only the requested nodes are returned (every node
         when outputs is None). The returned tensors are read-only and share
         storage with the graph's saved values; a later pass builds new
-        arrays, so they never change. Eval mode makes dropout the identity;
+        arrays, so they never change, with one exception: a parameter
+        node's float32 value is the parameter's own array, which
+        `optim.adam_step` overwrites. Eval mode makes dropout the identity;
         in train mode masks are fully determined by dropout_seed, so
         identical calls are bitwise identical.
         """
@@ -207,18 +239,26 @@ class Graph:
         parameters the loss does not depend on), read-only and uncopied.
         Requires a prior forward pass that computed the loss node.
 
+        Each parameter's gradient is its graph-owned buffer, so the returned
+        tensors share storage with the buffers and the next backward pass
+        overwrites them: copy one to keep it. A kind registered with
+        `writes_bufs` is handed the buffers of its parameter inputs as
+        `bufs=` and writes its term there (the conv2d and matmul weight
+        gradients, the conv2d and bias_add bias gradients); any other first
+        term of a parameter is copied into its buffer.
+
         A node with several consumers sums their gradients in place, with
         `np.add(a, g, out=a)` (the same bits as `a + g`), but only into an
         adjoint this pass owns: one a backward rule returned that shares no
         memory with that rule's upstream `grad`, and that has the dtype and
-        shape of the contribution added to it, or one this pass built itself.
-        When the consumer is a kind registered with `adds_into` and its
-        input's owned adjoint is C-contiguous with the input's dtype and
-        shape, that adjoint is handed to the rule as `into=`, and the rule
-        adds its term there without a gradient-sized temporary (so an l2
-        penalty created before the matmul or conv reading its weight adds
-        into that op's fresh weight gradient). Any other sum allocates. No
-        forward value is ever written.
+        shape of the contribution added to it, or one this pass built itself,
+        a parameter's buffer included. When the consumer is a kind
+        registered with `adds_into` and its input's owned adjoint is
+        C-contiguous with the input's dtype and shape, that adjoint is handed
+        to the rule as `into=`, and the rule adds its term there without a
+        gradient-sized temporary (so an l2 penalty created before the matmul
+        or conv reading its weight adds into that weight's buffer). Any
+        other sum allocates. No forward value is ever written.
         """
         if loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
@@ -243,21 +283,34 @@ class Graph:
             grad = adjoints[node.id]
             args = [self._values[i] for i in node.inputs]
             extra = {}
+            bufs = (None,) * len(node.inputs)
             if node.op in _ADDS_INTO:
                 a, x = adjoints.get(node.inputs[0]), args[0]
                 if (a is not None and owned(node.inputs[0]) and a.flags.c_contiguous
                         and a.dtype == x.dtype and a.shape == x.shape):
                     extra["into"] = a
+            elif node.op in _WRITES_BUFS:
+                bufs = extra["bufs"] = tuple(
+                    self._grad_buffer(i, x.shape, x.dtype)
+                    if self.nodes[i].is_parameter and i not in adjoints and node.inputs.count(i) == 1
+                    else None
+                    for i, x in zip(node.inputs, args)
+                )
             in_grads = _REGISTRY[node.op].backward(
                 grad, args, self._values[node.id], self._saved.get(node.id), node.attrs, **extra
             )
-            for inp, g in zip(node.inputs, in_grads):
+            for inp, g, buf in zip(node.inputs, in_grads, bufs):
                 if g is None:
                     continue
                 a = adjoints.get(inp)
                 if a is None:
-                    adjoints[inp] = g
-                    source[inp] = grad
+                    if not self.nodes[inp].is_parameter:
+                        adjoints[inp], source[inp] = g, grad
+                        continue
+                    if g is not buf:  # the rule did not write into the buffer
+                        buf = self._grad_buffer(inp, g.shape, g.dtype)
+                        np.copyto(buf, g)
+                    adjoints[inp], source[inp] = buf, None
                     continue
                 if g is extra.get("into"):
                     pass  # the rule added its term into a
@@ -271,7 +324,8 @@ class Graph:
             if node.is_parameter:
                 g = adjoints.get(node.id)
                 if g is None:
-                    g = np.zeros(node.value.shape, dtype=loss.dtype)
+                    g = self._grad_buffer(node.id, node.value.shape, loss.dtype)
+                    g.fill(0)
                 out[node.id] = Tensor._wrap(g)
         return out
 

@@ -464,7 +464,10 @@ class CompiledModel:
         return vals[node].data
 
     def train_step_grads(self, x: np.ndarray, y: np.ndarray, dropout_seed: int):
-        """Forward+backward in train mode; returns (total loss, data loss, grads by name)."""
+        """Forward+backward in train mode; returns (total loss, data loss, grads by name).
+
+        The gradients are the graph's buffers, which the next call overwrites.
+        """
         feeds = {self.input_id: Tensor(x), self.target_id: Tensor(y)}
         vals = self.graph.forward(feeds, mode=TRAIN, dropout_seed=dropout_seed, outputs=[self.loss_id])
         grads_by_id = self.graph.backward(self.loss_id)

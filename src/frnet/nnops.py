@@ -31,6 +31,12 @@ and the rule adds `c * w` into it (one CHUNK at a time for a weight larger
 than one CHUNK), so a weight with an l2 term gets one weight-sized gradient,
 not two and their sum. Float addition and multiplication are commutative,
 so the bits equal `dw + c * w`.
+
+conv2d, matmul and bias_add are registered with `writes_bufs`: handed a
+parameter's gradient buffer, the rule computes the weight or bias gradient
+straight into it (`np.matmul(..., out=)`, `.sum(..., out=)`, which give
+the same bytes as the allocating forms), so a training step after the first
+allocates no weight-sized gradient.
 """
 
 import math
@@ -131,14 +137,17 @@ def _conv2d_fwd(args, attrs, ctx):
     return y.reshape(bsz, oh, ow, cout), (cols2, pads)
 
 
-def _conv2d_bwd(grad, args, out, saved, attrs):
+def _conv2d_bwd(grad, args, out, saved, attrs, bufs=None):
     x, w, b = args
     cols2, pads = saved
     fh, fw, cin, cout = w.shape
     stride = attrs["stride"]
+    _, dw, db = bufs or (None, None, None)
     g2 = grad.reshape(-1, cout)
-    dw = (cols2.T @ g2).reshape(w.shape)
-    db = g2.sum(axis=0)
+    if dw is None:
+        dw = np.empty(w.shape, np.result_type(cols2, g2))
+    np.matmul(cols2.T, g2, out=dw.reshape(-1, cout))
+    db = g2.sum(axis=0, out=db)
     dcols = (g2 @ w.reshape(fh * fw * cin, cout).T).reshape(grad.shape[:3] + (fh, fw, cin))
     dx = _col2im(dcols, x.shape, fh, fw, stride, pads)
     return dx, dw, db
@@ -194,9 +203,9 @@ def _matmul_fwd(args, attrs, ctx):
     return a @ b, None
 
 
-def _matmul_bwd(grad, args, out, saved, attrs):
+def _matmul_bwd(grad, args, out, saved, attrs, bufs=None):
     a, b = args
-    return grad @ b.T, a.T @ grad
+    return grad @ b.T, np.matmul(a.T, grad, out=None if bufs is None else bufs[1])
 
 
 def _bias_add_fwd(args, attrs, ctx):
@@ -206,9 +215,8 @@ def _bias_add_fwd(args, attrs, ctx):
     return x + b, None
 
 
-def _bias_add_bwd(grad, args, out, saved, attrs):
-    db = grad.reshape(-1, grad.shape[-1]).sum(axis=0)
-    return grad, db
+def _bias_add_bwd(grad, args, out, saved, attrs, bufs=None):
+    return grad, grad.reshape(-1, grad.shape[-1]).sum(axis=0, out=None if bufs is None else bufs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +440,10 @@ def _l2_penalty_bwd(grad, args, out, saved, attrs, into=None):
     return (into,)
 
 
-register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
+register_op("conv2d", _conv2d_fwd, _conv2d_bwd, writes_bufs=True)
 register_op("maxpool2d", _maxpool2d_fwd, _maxpool2d_bwd)
-register_op("matmul", _matmul_fwd, _matmul_bwd)
-register_op("bias_add", _bias_add_fwd, _bias_add_bwd)
+register_op("matmul", _matmul_fwd, _matmul_bwd, writes_bufs=True)
+register_op("bias_add", _bias_add_fwd, _bias_add_bwd, writes_bufs=True)
 register_op("relu", _relu_fwd, _relu_bwd)
 register_op("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 register_op("dropout", _dropout_fwd, _dropout_bwd)

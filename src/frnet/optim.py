@@ -2,10 +2,10 @@
 
 Adam keeps its moments and a master copy of each parameter in float64 so
 that its state tracks a 64-bit scalar reference to within rounding; the
-parameters handed back to the network are float32, matching the tensor
-contract. Each step overwrites m, v and the masters in place, in flat chunks,
-so it builds no full-size float64 temporary. Defaults: lr 0.001, beta1 0.9,
-beta2 0.999, epsilon 1e-8.
+parameters the network reads are float32, matching the tensor contract. Each
+step overwrites m, v, the masters and the float32 parameters in place, in
+flat chunks, so it builds no full-size temporary. Defaults: lr 0.001, beta1
+0.9, beta2 0.999, epsilon 1e-8.
 """
 
 import functools
@@ -20,6 +20,13 @@ from .tensor import CHUNK, Tensor, run_chunked
 
 @dataclass
 class AdamState:
+    """Adam's hyperparameters, step count and per-parameter float64 state.
+
+    The state owns m, v and master, and `adam_step` overwrites them in place
+    on every step: copy one to keep an earlier step's values. The parameter
+    tensors stay with their owner (the model); `init` copies their values.
+    """
+
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -39,20 +46,38 @@ class AdamState:
         return state
 
 
+def _unlock(a: np.ndarray) -> bool:
+    """Make float32 `a` writeable; False if it is not float32 or its memory is read-only."""
+    if a.dtype != np.float32:
+        return False
+    try:
+        a.flags.writeable = True
+    except ValueError:
+        return False
+    return True
+
+
 def adam_step(
     params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamState
 ) -> dict[str, Tensor]:
-    """One bias-corrected Adam update; returns the new float32 parameters.
+    """One bias-corrected Adam update, written into `params`; returns `params`.
 
-    `params` must be the tensors produced by the previous step (or the ones
-    the state was initialized from). All names and shapes are checked before
-    the state changes, so a rejected call leaves it untouched. Updates run in
-    place over CHUNK elements at a time, and `run_chunked` splits a large
-    parameter's range over two threads; every operation is elementwise, so
-    neither changes a bit. Each chunk of the masters is rounded to float32
-    once, into the returned parameter, while it is still in cache. The
-    chunks go through one pair of CHUNK-sized float64 scratch buffers per
-    range piece, allocated once per step and shared by every parameter.
+    The returned tensors are the ones handed in: each parameter's array is
+    overwritten with its new float32 values, so every holder of those
+    tensors (the model's graph included) sees the update. `params` must be
+    the tensors the state was initialized from or last updated. All names
+    and shapes are checked, and every parameter array must be float32 and
+    writeable in place (one that owns its memory, or a view of writeable
+    memory), before anything changes, so a rejected call leaves the state
+    and the parameters untouched. The arrays are read-only again on return.
+
+    Updates run in place over CHUNK elements at a time, and `run_chunked`
+    splits a large parameter's range over two threads; every operation is
+    elementwise, so neither changes a bit. Each chunk of the masters is
+    rounded to float32 once, into the parameter, while it is still in
+    cache. The chunks go through one pair of CHUNK-sized float64 scratch
+    buffers per range piece, allocated once per step and shared by every
+    parameter.
     """
     if not set(params) == set(grads) == set(state.m) == set(state.v) == set(state.master):
         raise ShapeMismatchError("adam_step: names of params, grads and optimizer state differ")
@@ -60,6 +85,13 @@ def adam_step(
         shapes = (grads[name].shape,) + tuple(d[name].shape for d in (state.m, state.v, state.master))
         if any(shape != p.shape for shape in shapes):
             raise ShapeMismatchError(f"adam_step: {name}: param {p.shape}, grad/m/v/master {shapes}")
+    unlocked = []
+    for name, p in params.items():
+        if not _unlock(p.data):
+            for a in unlocked:
+                a.flags.writeable = False
+            raise ShapeMismatchError(f"adam_step: {name}: not a float32 array it can write in place")
+        unlocked.append(p.data)
     state.t += 1
     t = state.t
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
@@ -90,16 +122,17 @@ def adam_step(
             np.subtract(wc, np.divide(a, gc, out=a), out=wc)
             np.copyto(w32[s : s + k], wc, casting="same_kind")
 
-    out = {}
-    for name, p in params.items():
-        for slot in (state.m, state.v, state.master):
-            slot[name] = np.require(slot[name], np.float64, ["C", "W"])
-        g = grads[name].data.reshape(-1)
-        m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
-        new = np.empty(p.shape, dtype=np.float32)
-        run_chunked(g.size, functools.partial(update, g, m, v, w, new.reshape(-1)))
-        out[name] = Tensor._wrap(new)
-    return out
+    try:
+        for name, p in params.items():
+            for slot in (state.m, state.v, state.master):
+                slot[name] = np.require(slot[name], np.float64, ["C", "W"])
+            g = grads[name].data.reshape(-1)
+            m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
+            run_chunked(g.size, functools.partial(update, g, m, v, w, p.data.reshape(-1)))
+    finally:
+        for a in unlocked:
+            a.flags.writeable = False
+    return params
 
 
 def bce_loss(pred: Tensor, target: Tensor, eps_clip: float = 1e-7) -> float:

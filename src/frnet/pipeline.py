@@ -79,6 +79,11 @@ _STAGE_AE = 1
 _STAGE_CLF = 2
 _STAGE_GLOBAL_AE = 3
 
+# A batch loss above this multiple of its run's first batch loss means the
+# run has diverged. Across the acceptance runs (C7 and the five C8 cv-runs,
+# 41 training runs) no batch loss went above 1.004 times the first one.
+DIVERGENCE_FACTOR = 1000.0
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -151,7 +156,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of every config field except `out_dir`, so a run moved or
+    written elsewhere keeps its digest (and its checkpoint bytes)."""
+    values = config_to_dict(cfg)
+    del values[CONFIG_KEYS["out_dir"]]
+    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -250,15 +259,21 @@ def _train(
 ) -> TrainLog:
     """Mini-batch Adam over (x, y); deterministic given seed and path tags.
 
-    A step that fails or yields a non-finite loss raises PipelineError naming
-    the model kind, epoch and batch, and so do parameters left non-finite by
-    the last update, so a diverging run writes nothing.
+    A step that fails, yields a non-finite loss or a loss above
+    DIVERGENCE_FACTOR times the run's first batch loss raises PipelineError
+    naming the model kind, epoch and batch, and so do parameters left
+    non-finite by the last update, so a diverging run writes nothing.
+
+    `adam_step` updates the model's parameter tensors in place, so
+    `set_params` hands the model the tensors it already holds; the call
+    stays as the end of each step.
     """
     kind = model.spec.model_kind
     n = len(x)
     params = model.params()
     state = AdamState.init(params, lr=lr)
     log = TrainLog()
+    first_loss = None
     for epoch in range(epochs):
         t0 = time.perf_counter()
         order = stream(master_seed, SHUFFLE, *path, epoch).permutation(n)
@@ -272,6 +287,13 @@ def _train(
                 raise PipelineError(f"{kind} epoch {epoch} batch {b}: {e}") from e
             if not math.isfinite(total):
                 raise PipelineError(f"{kind} epoch {epoch} batch {b}: loss is {total}")
+            if first_loss is None:
+                first_loss = total
+            elif total > DIVERGENCE_FACTOR * first_loss:
+                raise PipelineError(
+                    f"{kind} epoch {epoch} batch {b}: loss {total:.6g} is over {DIVERGENCE_FACTOR:g} "
+                    f"times the first batch loss {first_loss:.6g}; training diverged"
+                )
             params = adam_step(params, grads, state)
             model.set_params(params)
             batch_losses.append(total)

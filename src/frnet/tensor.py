@@ -76,7 +76,13 @@ def check_shape(dims) -> Shape:
 
 
 class Tensor:
-    """Immutable dense array with fixed shape and row-major float storage."""
+    """Dense array with fixed shape and row-major float storage, read-only to its holders.
+
+    Holders never write through a tensor. Two owners do, in place: a model's
+    parameter tensors are overwritten by `optim.adam_step`, and the gradient
+    tensors `Graph.backward` returns are views of buffers that the graph's
+    next backward pass overwrites. Every other tensor never changes.
+    """
 
     __slots__ = ("_a",)
 

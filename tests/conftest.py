@@ -1,5 +1,6 @@
 """Shared test helpers: one-op graph evaluation, a finite-difference gradient
-checker for graph ops, a peak-allocation probe, and the settings of the fuzz
+checker for graph ops, a peak-allocation probe, the allocating backward pass
+and Adam update kept as bitwise references, and the settings of the fuzz
 tests."""
 
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import settings
 
-from frnet.autodiff import EVAL, TRAIN, Graph
+from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph
 from frnet.tensor import Tensor
 
 GRAD_STEP = 1e-3
@@ -116,6 +117,42 @@ def scalar_adam_reference(x0, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
         v_hat = v / (1.0 - beta2**t)
         x -= lr * m_hat / (math.sqrt(v_hat) + eps)
         out.append(x)
+    return out
+
+
+def allocating_backward(g, loss_id):
+    """Parameter gradients by node id from the backward pass as first written:
+    every rule allocates, and every fan-in sum is a fresh a + g."""
+    adjoints = {loss_id: np.ones_like(g._values[loss_id])}
+    for node in reversed(g.nodes):
+        if node.id not in adjoints or not node.inputs:
+            continue
+        args = [g._values[i] for i in node.inputs]
+        in_grads = _REGISTRY[node.op].backward(
+            adjoints[node.id], args, g._values[node.id], g._saved.get(node.id), node.attrs
+        )
+        for inp, d in zip(node.inputs, in_grads):
+            if d is not None:
+                adjoints[inp] = adjoints[inp] + d if inp in adjoints else d
+    return {i: adjoints[i].copy() for i in g.parameters().values()}
+
+
+def allocating_adam_step(params, grads, state):
+    """The Adam update adam_step replaced, kept as its bitwise reference: it
+    builds every temporary and returns new float32 parameter tensors."""
+    state.t += 1
+    t = state.t
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    out = {}
+    for name in params:
+        g64 = grads[name].data.astype(np.float64)
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g64
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * np.square(g64)
+        m_hat = state.m[name] / bc1
+        v_hat = state.v[name] / bc2
+        state.master[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        out[name] = Tensor(state.master[name].astype(np.float32))
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import peak_alloc
+from conftest import allocating_backward, peak_alloc
 from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, OpDef, op_kinds
 from frnet.errors import GraphError
 from frnet.models import Conv, Dense, Flatten, Input, NetworkSpec, compile_model
@@ -218,12 +218,14 @@ def test_returned_tensors_survive_later_passes():
     first_feed = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
     vals = g.forward({x: first_feed}, mode=TRAIN, outputs=[h, loss])
     grads = g.backward(loss)
-    kept = [vals[h].data.copy(), vals[loss].data.copy(), grads[w].data.copy()]
+    kept = [vals[h].data.copy(), vals[loss].data.copy()]
+    first_grad = grads[w].data.copy()
     g.forward({x: Tensor(rng.standard_normal((2, 4)).astype(np.float32))}, mode=TRAIN)
+    want = allocating_backward(g, loss)[w]
     g.backward(loss)
-    assert [vals[h].data.tobytes(), vals[loss].data.tobytes(), grads[w].data.tobytes()] == [
-        a.tobytes() for a in kept
-    ]
+    assert [vals[h].data.tobytes(), vals[loss].data.tobytes()] == [a.tobytes() for a in kept]
+    # parameter gradients live in the graph's buffers: the next backward overwrites them
+    assert grads[w].data.tobytes() == want.tobytes() != first_grad.tobytes()
     assert not grads[w].data.flags.writeable
 
 
@@ -241,26 +243,10 @@ def test_forward_rejects_outputs_that_are_not_nodes(bad):
 # fan-in summed in place, against the backward pass that allocates every sum
 
 
-def _allocating_backward(g, loss_id):
-    # the backward pass as first written: every fan-in sum is a fresh a + g
-    adjoints = {loss_id: np.ones_like(g._values[loss_id])}
-    for node in reversed(g.nodes):
-        if node.id not in adjoints or not node.inputs:
-            continue
-        args = [g._values[i] for i in node.inputs]
-        in_grads = _REGISTRY[node.op].backward(
-            adjoints[node.id], args, g._values[node.id], g._saved.get(node.id), node.attrs
-        )
-        for inp, d in zip(node.inputs, in_grads):
-            if d is not None:
-                adjoints[inp] = adjoints[inp] + d if inp in adjoints else d
-    return {i: adjoints[i].copy() for i in g.parameters().values()}
-
-
 def _assert_backward_matches_allocating_sums(g, loss, **forward):
     g.forward({}, outputs=[loss], **forward)
     before = {i: (v.dtype, v.tobytes()) for i, v in g._values.items()}
-    want = _allocating_backward(g, loss)
+    want = allocating_backward(g, loss)
     got = g.backward(loss)
     assert set(got) == set(want)
     for i, w in want.items():
@@ -334,7 +320,7 @@ def test_dense_weight_with_l2_term_sums_its_gradient_in_place():
     h = g.apply("matmul", [x, w])
     loss = g.apply("add", [g.apply("reduce_mean", [h]), g.apply("l2_penalty", [w], scale=0.001)])
     g.forward({x: Tensor(rng.standard_normal((8, 1024)).astype(np.float32))}, outputs=[loss])
-    want = _allocating_backward(g, loss)[w]
+    want = allocating_backward(g, loss)[w]
     grads, peak = peak_alloc(lambda: g.backward(loss))
     nbytes = g.value(w).data.nbytes
     assert peak < 2.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
@@ -360,8 +346,11 @@ def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
     }
     g, loss = model.graph, model.loss_id
     g.forward(feeds, mode=TRAIN, dropout_seed=1, outputs=[loss])
-    want = _allocating_backward(g, loss)
+    want = allocating_backward(g, loss)
+    _, first_peak = peak_alloc(lambda: g.backward(loss))
+    # the first pass makes the gradient buffers; later passes reuse them
     plain, plain_peak = peak_alloc(lambda: g.backward(loss))
+    plain = {i: t.data.copy() for i, t in plain.items()}
 
     l2_calls = []
 
@@ -378,9 +367,9 @@ def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
     traced, traced_peak = peak_alloc(lambda: g.backward(loss))
 
     nbytes = max(v.data.nbytes for v in model.params().values())
-    for peak in (plain_peak, traced_peak):
+    for peak in (first_peak, plain_peak, traced_peak):
         assert peak < 1.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
     assert abs(traced_peak - plain_peak) < 0.05 * nbytes
     assert l2_calls == [{"into"}, {"into"}]
     for i, w in want.items():
-        assert plain[i].data.tobytes() == w.tobytes() == traced[i].data.tobytes(), g.nodes[i].name
+        assert plain[i].tobytes() == w.tobytes() == traced[i].data.tobytes(), g.nodes[i].name

@@ -93,6 +93,22 @@ class TestExitCodes:
         assert "error: frnet1 epoch" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", ["1e6", "1e3"])
+    def test_exploding_finite_loss_is_a_runtime_failure(self, tmp_path, capsys, lr):
+        # the loss stays finite (about 2e14 and 2e8 at batch 1), so only the
+        # divergence factor stops the run
+        data = tmp_path / "blobs64.tsv"
+        write_feature_file(str(data), synth_blobs(n=64, width=255, seed=0))
+        rc = main(["train-ae", "--dataset-path", str(data), "--orientation", "16x16",
+                   "--ae-hidden", "64,32", "--epochs-ae", "3", "--batch-size", "32",
+                   "--lr", lr, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: frnet1 epoch 0 batch 1: loss" in err and "training diverged" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "ae.ckpt").exists()
+
     @pytest.mark.parametrize("key", ["lr", "l2-scale"])
     def test_non_finite_rate_exits_one(self, dataset_file, tmp_path, key, capsys):
         rc = main(["train-ae", *tiny_flags(dataset_file, tmp_path, **{key: "inf"})])

@@ -6,10 +6,11 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import peak_alloc, scalar_adam_reference
+from conftest import allocating_adam_step, allocating_backward, peak_alloc, scalar_adam_reference
 from frnet import tensor
 from frnet.errors import GraphError, ShapeMismatchError
-from frnet.models import build_frnet1, compile_model
+from frnet.autodiff import TRAIN
+from frnet.models import Dense, Flatten, Input, NetworkSpec, build_frnet1, build_frnet2, compile_model
 from frnet.optim import AdamState, adam_step, bce_loss
 from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor
 
@@ -27,8 +28,9 @@ def test_first_step_magnitude_is_lr():
     for g in (2.5, -0.03, 1e4):
         params = {"x": Tensor([1.0, 1.0])}
         state = AdamState.init(params, lr=0.001)
+        before = params["x"].data.copy()  # adam_step writes the new values into params
         new = adam_step(params, {"x": Tensor([g, g])}, state)
-        delta = new["x"].data - params["x"].data
+        delta = new["x"].data - before
         assert state.t == 1
         # bias-corrected first step is -lr * sign(g), up to the epsilon term
         assert np.allclose(delta, -math.copysign(0.001, g), rtol=1e-3)
@@ -95,24 +97,6 @@ def test_adam_rejects_mismatched_names_and_shapes():
         adam_step({"x": Tensor([1.0])}, {"x": Tensor([1.0, 2.0])}, state)
 
 
-def _reference_adam_step(params, grads, state):
-    # the allocating update adam_step replaced, kept as the bitwise reference
-    state.t += 1
-    t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    out = {}
-    for name in params:
-        g64 = grads[name].data.astype(np.float64)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g64
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * np.square(g64)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        state.master[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        out[name] = Tensor(state.master[name].astype(np.float32))
-    return out
-
-
 @pytest.mark.parametrize(
     "shape",
     [(CHUNK - 3,), (CHUNK,), (3, CHUNK // 2 + 7), (2, 5, CHUNK // 4 + 1)],
@@ -131,7 +115,7 @@ def test_chunked_adam_is_bitwise_equal_to_allocating_formula(shape):
             "b": Tensor((scale * rng.standard_normal(2)).astype(np.float32)),
         }
         got = adam_step(got, grads, got_state)
-        ref = _reference_adam_step(ref, grads, ref_state)
+        ref = allocating_adam_step(ref, grads, ref_state)
         for name in params:
             assert got[name].data.tobytes() == ref[name].data.tobytes()
             for slot in ("m", "v", "master"):
@@ -152,7 +136,11 @@ def test_rejected_adam_step_leaves_state_untouched():
     state = AdamState.init(params)
     good = {"a": Tensor([0.1, 0.2]), "z": Tensor([[0.3], [0.4]])}
     params = adam_step(params, good, state)
-    before = _snapshot(state)
+
+    def snapshot():
+        return _snapshot(state), {n: p.data.tobytes() for n, p in params.items()}
+
+    before = snapshot()
     bad_grads = [
         {"a": good["a"]},  # missing grad
         {**good, "extra": Tensor([1.0])},  # grad with no parameter
@@ -161,10 +149,18 @@ def test_rejected_adam_step_leaves_state_untouched():
     for grads in bad_grads:
         with pytest.raises(ShapeMismatchError):
             adam_step(params, grads, state)
-        assert _snapshot(state) == before
+        assert snapshot() == before
     with pytest.raises(ShapeMismatchError):
         adam_step({**params, "z": Tensor([1.0, 2.0])}, good, state)
-    assert _snapshot(state) == before
+    assert snapshot() == before
+    # a later parameter that cannot be written in place as float32: read-only
+    # memory, or float64
+    frozen = np.frombuffer(params["z"].data.tobytes(), dtype=np.float32).reshape(2, 1)
+    for z in (Tensor._wrap(frozen), Tensor([[1.0], [2.0]], dtype=np.float64)):
+        with pytest.raises(ShapeMismatchError, match="z: not a float32 array it can write in place"):
+            adam_step({"a": params["a"], "z": z}, good, state)
+        assert snapshot() == before
+        assert not params["a"].data.flags.writeable
 
 
 def _adam_against_reference(n, steps, seed):
@@ -180,7 +176,7 @@ def _adam_against_reference(n, steps, seed):
             "b": Tensor((scale * rng.standard_normal(2)).astype(np.float32)),
         }
         got = adam_step(got, grads, got_state)
-        ref = _reference_adam_step(ref, grads, ref_state)
+        ref = allocating_adam_step(ref, grads, ref_state)
         for name in params:
             assert got[name].data.tobytes() == ref[name].data.tobytes()
             for slot in ("m", "v", "master"):
@@ -246,6 +242,88 @@ def test_rejected_threaded_adam_step_leaves_state_untouched():
     with pytest.raises(ShapeMismatchError):
         adam_step(params, {"a": good["a"], "z": Tensor([0.3, 0.4])}, state)
     assert _snapshot(state) == before
+
+
+def test_adam_step_updates_the_tensors_it_was_handed():
+    params = {"w": Tensor([[0.5, -0.5]]), "b": Tensor([0.0])}
+    arrays = {n: p.data for n, p in params.items()}
+    state = AdamState.init(params)
+    out = adam_step(params, {"w": Tensor([[1.0, -1.0]]), "b": Tensor([2.0])}, state)
+    assert all(out[n] is params[n] and out[n].data is arrays[n] for n in params)
+    assert out["w"].tolist() == [[np.float32(0.5 - 0.001), np.float32(-0.5 + 0.001)]]
+    assert not any(p.data.flags.writeable for p in out.values())
+
+
+def _small_specs():
+    return {
+        "frnet1": build_frnet1(feature_count=48, orientation=(7, 7), hidden=(16, 8)),
+        "frnet2": build_frnet2(feature_count=64, hidden=(16, 8)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["frnet1", "frnet2"])
+def test_training_in_place_matches_the_allocating_path(kind):
+    # the in-place step (gradients in the graph's buffers, parameters updated
+    # where they are) against fresh gradients and fresh parameters each step
+    spec = _small_specs()[kind]
+    model, ref = compile_model(spec, init_seed=3), compile_model(spec, init_seed=3)
+    params, ref_params = model.params(), ref.params()
+    state, ref_state = AdamState.init(params, lr=0.01), AdamState.init(ref_params, lr=0.01)
+    rng = np.random.default_rng(9)
+    h, w, _ = model.shapes[spec.input_layer.name]
+    out_width = model.shapes[spec.output_layer.name][0]
+    for step in range(4):
+        x = rng.random((6, h, w, 1), dtype=np.float32)
+        y = (rng.random((6, out_width)) < 0.5).astype(np.float32)
+        _, _, grads = model.train_step_grads(x, y, dropout_seed=step)
+        ref.graph.forward({ref.input_id: Tensor(x), ref.target_id: Tensor(y)}, mode=TRAIN,
+                          dropout_seed=step, outputs=[ref.loss_id])
+        by_id = allocating_backward(ref.graph, ref.loss_id)
+        ref_grads = {name: Tensor(by_id[i]) for name, i in ref.param_ids.items()}
+        for name in params:
+            assert grads[name].data.tobytes() == ref_grads[name].data.tobytes(), (step, name)
+        params = adam_step(params, grads, state)
+        model.set_params(params)
+        ref_params = allocating_adam_step(ref_params, ref_grads, ref_state)
+        ref.set_params(ref_params)
+        for name in params:
+            assert params[name].data.tobytes() == ref_params[name].data.tobytes(), (step, name)
+
+
+def test_backward_reuses_its_gradient_buffers():
+    model = compile_model(_small_specs()["frnet2"], init_seed=4)
+    x = np.random.default_rng(1).random((4, 8, 8, 1), dtype=np.float32)
+    y = np.array([[0.0], [1.0], [1.0], [0.0]], dtype=np.float32)
+    first = model.train_step_grads(x, y, dropout_seed=0)[2]
+    second = model.train_step_grads(x[::-1].copy(), y[::-1].copy(), dropout_seed=1)[2]
+    assert all(np.shares_memory(first[n].data, second[n].data) for n in first)
+
+
+def test_second_training_step_allocates_no_weight():
+    # a 2 M-element dense weight with an l2 term: after the first step, the
+    # gradient and parameter storage are reused, so a step allocates only
+    # activations and CHUNK-sized scratch
+    spec = NetworkSpec("dense", (
+        Input("in", (), (32, 64, 1)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 1024, "sigmoid", 0.001),
+    ))
+    model = compile_model(spec, init_seed=5)
+    rng = np.random.default_rng(2)
+    x = rng.random((8, 32, 64, 1), dtype=np.float32)
+    y = (rng.random((8, 1024)) < 0.5).astype(np.float32)
+    params = model.params()
+    state = AdamState.init(params)
+
+    def step(seed):
+        _, _, grads = model.train_step_grads(x, y, dropout_seed=seed)
+        model.set_params(adam_step(params, grads, state))
+
+    step(0)
+    _, peak = peak_alloc(lambda: step(1))
+    nbytes = params["fc/w"].data.nbytes
+    assert params["fc/w"].size >= 1 << 20
+    assert peak < 0.5 * nbytes, f"step 2 allocated {peak / nbytes:.2f} weight sizes"
 
 
 def test_adam_step_allocates_no_full_size_float64_temporaries():

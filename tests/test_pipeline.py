@@ -200,6 +200,7 @@ class TestRunConfig:
         a = RunConfig(seed=1)
         assert config_digest(a) == config_digest(RunConfig(seed=1))
         assert config_digest(a) != config_digest(RunConfig(seed=2))
+        assert config_digest(a) == config_digest(RunConfig(seed=1, out_dir="elsewhere"))
         assert len(config_digest(a)) == 64
         assert set(config_digest(a)) <= set("0123456789abcdef")
 
@@ -471,6 +472,18 @@ class TestCvRun:
             return blob
 
         assert run() == run()
+
+    def test_output_directory_is_not_part_of_the_run(self, tmp_path, blobs48):
+        # the same run written to two directories has one config digest, and
+        # its checkpoints (which record that digest) are byte-identical
+        runs = []
+        for where in ("a", "b"):
+            _, rd = cmd_cv_run(tiny_cfg(tmp_path / where), dataset=blobs48)
+            ckpts = {rel: open(tmp_path / where / rel, "rb").read() for rel in rd["checkpoint_files"]}
+            runs.append((rd["config_digest"], ckpts))
+            assert rd["config"]["out-dir"] == str(tmp_path / where)
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 4
 
     def test_no_test_fold_leakage(self, tmp_path, blobs48):
         cfg = tiny_cfg(tmp_path)
