@@ -127,6 +127,10 @@ class Graph:
         buf.flags.writeable = True
         return buf
 
+    def release_grad_buffers(self) -> None:
+        """Drop every gradient buffer; the next backward pass makes new ones."""
+        self._grad_bufs = {}
+
     def _add(self, op, inputs, attrs, name, is_parameter=False, value=None) -> int:
         for i in inputs:
             if not 0 <= i < len(self.nodes):

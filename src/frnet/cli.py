@@ -7,13 +7,15 @@ The FRNET_OUT_DIR environment variable supplies the default output
 directory when neither file nor flag sets one.
 
 Exit codes: 0 success, 1 validation error (bad flags, config, or input
-files), 2 runtime failure.
+files), 2 runtime failure. Warnings print as one `warning: ...` line each
+on stderr.
 """
 
 import argparse
 import configparser
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .errors import ConfigError, DataError, FrnetError
@@ -24,7 +26,7 @@ from .pipeline import (
     cmd_cv_run,
     cmd_extract,
     cmd_ingest,
-    cmd_rank_candidates,
+    cmd_rank_files,
     cmd_report,
     cmd_train_ae,
     cmd_train_clf,
@@ -50,7 +52,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="INI config file with a [run] section")
     for key in CONFIG_KEYS.values():
-        common.add_argument(f"--{key}", metavar="VALUE", help=argparse.SUPPRESS)
+        # every --dataset-path given is kept for rank; the config takes the last
+        action = "append" if key == "dataset-path" else "store"
+        common.add_argument(f"--{key}", metavar="VALUE", action=action, help=argparse.SUPPRESS)
     return common
 
 
@@ -64,6 +68,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     flag_values = {}
     for key in CONFIG_KEYS.values():
         value = getattr(args, key.replace("-", "_"), None)
+        if isinstance(value, list):
+            value = value[-1]
         if value is not None:
             flag_values[key] = value
     cfg = config_from_dict(flag_values, cfg)
@@ -111,10 +117,16 @@ def _cmd_cv_run(args) -> int:
 
 def _cmd_rank(args) -> int:
     cfg = _build_config(args)
-    rows = cmd_rank_candidates(cfg, args.ae_checkpoint, args.clf_checkpoint, args.k)
-    print("drug-id\ttarget-id\tscore")
-    for drug, target, score in rows:
-        print(f"{drug}\t{target}\t{score:.6f}")
+    paths = args.dataset_path or [cfg.dataset_path]
+    blocks = cmd_rank_files(cfg, args.ae_checkpoint, args.clf_checkpoint, args.k, paths)
+    for i, (path, rows) in enumerate(zip(paths, blocks)):
+        if len(paths) > 1:  # blank-line separated blocks, each headed by its file
+            if i:
+                print()
+            print(f"# {path}")
+        print("drug-id\ttarget-id\tscore")
+        for drug, target, score in rows:
+            print(f"{drug}\t{target}\t{score:.6f}")
     return 0
 
 
@@ -155,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full cross-validated two-stage run").set_defaults(fn=_cmd_cv_run)
 
     p = sub.add_parser("rank", parents=[common],
-                       help="rank unlabeled pairs by predicted interaction probability")
+                       help="rank unlabeled pairs by predicted interaction probability; "
+                       "repeat --dataset-path to rank several files with one load of each checkpoint")
     p.add_argument("--ae-checkpoint", required=True, metavar="FILE")
     p.add_argument("--clf-checkpoint", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=5)
@@ -168,6 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -176,7 +193,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; those are validation errors here
         return 0 if e.code in (0, None) else 1
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _print_warning
+            return args.fn(args)
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -245,6 +245,7 @@ def _predict_batched(model: CompiledModel, x: np.ndarray) -> np.ndarray:
     return eval_in_blocks(model.predict, x)
 
 
+@np.errstate(all="ignore")
 def _train(
     model: CompiledModel,
     x: np.ndarray,
@@ -263,6 +264,8 @@ def _train(
     DIVERGENCE_FACTOR times the run's first batch loss raises PipelineError
     naming the model kind, epoch and batch, and so do parameters left
     non-finite by the last update, so a diverging run writes nothing.
+    numpy's floating-point warnings are silenced: that error reports a
+    diverging run. The model's gradient buffers are released on return.
 
     `adam_step` updates the model's parameter tensors in place, so
     `set_params` hands the model the tensors it already holds; the call
@@ -302,6 +305,7 @@ def _train(
     # min and max propagate NaN and reach +-inf, with no full-size temporary
     if epochs and not all(np.isfinite([p.data.min(), p.data.max()]).all() for p in params.values()):
         raise PipelineError(f"{kind} epoch {epochs - 1}: parameters are not finite after the last update")
+    model.graph.release_grad_buffers()
     return log
 
 
@@ -398,12 +402,14 @@ def _represent(
     return extract_features(ae, as_images(apply_scaling(features, record), (h, w)))
 
 
-def _resolve_dataset(cfg: RunConfig, dataset: Dataset | None) -> Dataset:
-    if dataset is not None:
+def _resolve_dataset(cfg: RunConfig, dataset: Dataset | str | None) -> Dataset:
+    """`dataset` itself, or the file it names (`cfg.dataset_path` when None or empty)."""
+    if isinstance(dataset, Dataset):
         return dataset
-    if not cfg.dataset_path:
+    path = dataset or cfg.dataset_path
+    if not path:
         raise ConfigError("no dataset: set dataset-path or pass one in")
-    return load_dataset(cfg.dataset_path, format=cfg.dataset_format, name=cfg.dataset_name)
+    return load_dataset(path, format=cfg.dataset_format, name=cfg.dataset_name)
 
 
 def _ensure_out_dir(cfg: RunConfig, *parts: str) -> str:
@@ -554,6 +560,8 @@ def _run_fold(
 
     rep_train = _represent(ae, record, d.features[train_idx], "autoencoder")
     rep_test = _represent(ae, record, d.features[test_idx], "autoencoder")
+    # a per-fold autoencoder is freed before the classifier trains; a global one is still held by the caller
+    del ae
 
     clf, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
     clf_ckpt = os.path.join(models_dir, f"clf_r{r}_f{f}.ckpt")
@@ -580,33 +588,68 @@ def cmd_rank_candidates(
     k: int,
     dataset: Dataset | None = None,
 ) -> list[tuple[str, str, float]]:
-    """Top-k label-0 pairs by predicted interaction probability.
+    """Top-k label-0 pairs by predicted interaction probability: `cmd_rank_files` over one dataset."""
+    return cmd_rank_files(cfg, ae_checkpoint, clf_checkpoint, k, [dataset])[0]
 
-    Descending score; ties broken by (drug-id, target-id) lexicographically.
+
+def cmd_rank_files(
+    cfg: RunConfig,
+    ae_checkpoint: str,
+    clf_checkpoint: str,
+    k: int,
+    datasets: list[Dataset | str | None],
+) -> list[list[tuple[str, str, float]]]:
+    """Per dataset, in order, its top-k label-0 pairs by predicted interaction probability.
+
+    Each entry of `datasets` is a Dataset, or the path of one to load with
+    cfg's format and name (None: `cfg.dataset_path`). Descending score;
+    ties broken by (drug-id, target-id) lexicographically. A pair's score
+    does not depend on the other rows or files ranked with it.
+
+    Each checkpoint is read once per call, and one model is in memory at a
+    time: the autoencoder represents every file's negatives and is freed
+    before the classifier loads. Both checkpoint files are opened first, so
+    a missing one fails before either is read.
     """
     cfg.validate()
     if k < 0:
         raise ConfigError("k must be >= 0")
-    d = _resolve_dataset(cfg, dataset)
-    negatives = np.flatnonzero(d.labels == 0)
-    if k > negatives.size:
-        warnings.warn(
-            f"k={k} exceeds the {negatives.size} negative pairs; returning all of them",
-            stacklevel=2,
-        )
-        k = negatives.size
-    if k == 0:
-        return []
+    candidates = []
+    for i, source in enumerate(datasets):
+        d = _resolve_dataset(cfg, source)
+        negatives = np.flatnonzero(d.labels == 0)
+        if k > negatives.size:
+            which = f"dataset {i + 1} of {len(datasets)}: " if len(datasets) > 1 else ""
+            warnings.warn(
+                f"{which}k={k} exceeds the {negatives.size} negative pairs; returning all of them",
+                stacklevel=2,
+            )
+        candidates.append(subset(d, negatives))
+    if k == 0 or not any(len(neg) for neg in candidates):
+        return [[] for _ in candidates]
+    for path in (ae_checkpoint, clf_checkpoint):
+        _check_openable(path)
     ae, record = _load_model(ae_checkpoint, "frnet1")
+    reps = [_represent(ae, record, neg.features, ae_checkpoint) for neg in candidates]
+    del ae  # its parameters are its checkpoint's buffer, freed here
     clf, _ = _load_model(clf_checkpoint, "frnet2")
-    neg = subset(d, negatives)
-    rep = _represent(ae, record, neg.features, ae_checkpoint)
-    probs = _predict_batched(clf, as_square_images(rep))[:, 0]
-    rows = sorted(
-        zip(neg.drug_ids, neg.target_ids, probs.astype(float)),
-        key=lambda row: (-row[2], row[0], row[1]),
-    )
-    return [(drug, target, float(score)) for drug, target, score in rows[:k]]
+    ranked = []
+    for neg, rep in zip(candidates, reps):
+        probs = _predict_batched(clf, as_square_images(rep))[:, 0]
+        rows = sorted(
+            zip(neg.drug_ids, neg.target_ids, map(float, probs)),
+            key=lambda row: (-row[2], row[0], row[1]),
+        )
+        ranked.append(rows[:k])
+    return ranked
+
+
+def _check_openable(path: str) -> None:
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as e:
+        raise CheckpointError(f"{path}: {e}") from None
 
 
 # the report.json keys that `cmd_report` reads

@@ -7,6 +7,7 @@ checks run a 64-bit shadow evaluation); model and checkpoint paths only
 ever hold float32.
 """
 
+import contextvars
 import math
 import os
 import threading
@@ -37,7 +38,9 @@ def run_chunked(n: int, body) -> list:
     process's CPU affinity), the range splits at a CHUNK boundary near its
     middle: a helper thread runs the upper piece while the calling thread
     runs the lower one, and both are joined before this returns. An
-    exception raised on the helper thread is re-raised here. Otherwise
+    exception raised on the helper thread is re-raised here, and the helper
+    runs in a copy of the caller's context, so numpy's error state (as set
+    by `np.errstate`) holds on both pieces. Otherwise
     `body(0, n)` runs on the calling thread alone. `body` must touch only
     its own piece, and on the helper thread it should call only numpy,
     which releases the interpreter lock inside its loops.
@@ -54,7 +57,7 @@ def run_chunked(n: int, body) -> list:
         except BaseException as e:  # handed to the caller below
             errors.append(e)
 
-    worker = threading.Thread(target=upper, daemon=True)
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(upper,), daemon=True)
     worker.start()
     try:
         results[0] = body(0, mid)

@@ -81,7 +81,6 @@ class TestExitCodes:
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_a_runtime_failure(self, tmp_path, capsys):
         data = tmp_path / "blobs64.tsv"
         write_feature_file(str(data), synth_blobs(n=64, width=255, seed=0))
@@ -93,7 +92,6 @@ class TestExitCodes:
         assert "error: frnet1 epoch" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lr", ["1e6", "1e3"])
     def test_exploding_finite_loss_is_a_runtime_failure(self, tmp_path, capsys, lr):
         # the loss stays finite (about 2e14 and 2e8 at batch 1), so only the
@@ -109,6 +107,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
 
+    def test_diverging_training_prints_only_its_error(self, tmp_path, capsys):
+        # numpy's overflow warnings in the diverging steps never reach stderr
+        data = tmp_path / "blobs64.tsv"
+        write_feature_file(str(data), synth_blobs(n=64, width=255, seed=0))
+        rc = main(["train-ae", "--dataset-path", str(data), "--orientation", "16x16",
+                   "--ae-hidden", "64,32", "--epochs-ae", "3", "--batch-size", "32",
+                   "--lr", "1e6", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: frnet1 epoch 0 batch 1: ") and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("key", ["lr", "l2-scale"])
     def test_non_finite_rate_exits_one(self, dataset_file, tmp_path, key, capsys):
         rc = main(["train-ae", *tiny_flags(dataset_file, tmp_path, **{key: "inf"})])
@@ -116,7 +126,6 @@ class TestExitCodes:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ae.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_last_update_is_a_runtime_failure(self, tmp_path, capsys):
         # 20 rows are one batch, so the loss guard never sees the updated parameters
         data = tmp_path / "blobs20.tsv"
@@ -185,6 +194,50 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "summary:" in out
         assert os.path.exists(tmp_path / "metrics.tsv")
+
+    def test_rank_prints_one_block_per_file(self, dataset_file, tmp_path, capsys):
+        flags = tiny_flags(dataset_file, tmp_path)
+        main(["train-ae", *flags])
+        main(["extract", *flags, "--ae-checkpoint", str(tmp_path / "ae.ckpt")])
+        main(["train-clf", *flags, "--features", str(tmp_path / "features.tsv")])
+        other = str(tmp_path / "other.tsv")
+        write_feature_file(other, synth_blobs(n=12, width=48, seed=8))
+        capsys.readouterr()
+        ckpts = ["--ae-checkpoint", str(tmp_path / "ae.ckpt"),
+                 "--clf-checkpoint", str(tmp_path / "clf.ckpt"), "--k", "2"]
+
+        def rank(*paths):
+            # tiny_flags starts with --dataset-path
+            assert main(["rank", *flags[2:], *ckpts, *[a for p in paths for a in ("--dataset-path", p)]]) == 0
+            return capsys.readouterr().out
+
+        alone = [rank(p) for p in (dataset_file, other)]
+        assert alone[0].splitlines()[0] == "drug-id\ttarget-id\tscore"
+        together = rank(dataset_file, other, dataset_file)
+        assert together == "\n".join(
+            f"# {p}\n{block}" for p, block in zip((dataset_file, other, dataset_file), alone + alone[:1])
+        )
+
+    def test_rank_prints_an_oversized_k_as_one_warning_line(self, dataset_file, tmp_path, capsys):
+        flags = tiny_flags(dataset_file, tmp_path)
+        main(["train-ae", *flags])
+        main(["extract", *flags, "--ae-checkpoint", str(tmp_path / "ae.ckpt")])
+        main(["train-clf", *flags, "--features", str(tmp_path / "features.tsv")])
+        capsys.readouterr()
+        rc = main(["rank", *flags, "--ae-checkpoint", str(tmp_path / "ae.ckpt"),
+                   "--clf-checkpoint", str(tmp_path / "clf.ckpt"), "--k", "1000"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == "warning: k=1000 exceeds the 27 negative pairs; returning all of them\n"
+        assert len(captured.out.splitlines()) == 28
+
+        # with several files, each warning names its file's place in the call
+        main(["rank", *flags, "--dataset-path", dataset_file, "--ae-checkpoint", str(tmp_path / "ae.ckpt"),
+              "--clf-checkpoint", str(tmp_path / "clf.ckpt"), "--k", "1000"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: dataset {i} of 2: k=1000 exceeds the 27 negative pairs; returning all of them"
+            for i in (1, 2)
+        ]
 
     def test_rank_defaults_to_five(self):
         args = build_parser().parse_args(

@@ -11,11 +11,12 @@ import json
 import math
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from frnet import checkpoint
+from frnet import checkpoint, pipeline
 from frnet.data import Dataset, fit_scaling, make_folds, read_feature_file, subset
 from frnet.errors import (
     CheckpointError,
@@ -30,6 +31,7 @@ from frnet.pipeline import (
     RunConfig,
     TrainLog,
     _STAGE_GLOBAL_AE,
+    _fit,
     _predict_batched,
     _recon_accuracy_fn,
     _threshold_accuracy_fn,
@@ -38,6 +40,7 @@ from frnet.pipeline import (
     cmd_extract,
     cmd_ingest,
     cmd_rank_candidates,
+    cmd_rank_files,
     cmd_report,
     cmd_train_ae,
     cmd_train_clf,
@@ -276,7 +279,6 @@ def test_prediction_does_not_depend_on_how_rows_are_split():
     assert one_at_a_time.tobytes() == together.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_fails_closed():
     # zero inputs keep the prediction at 0.5, but the l2 term of huge output
     # weights overflows float32, so only the total loss is not finite
@@ -350,14 +352,31 @@ class TestTrainAutoencoder:
         in_layer = state.spec_dict["layers"][0]
         assert tuple(in_layer["item_shape"]) == orientation + (1,)
 
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_fails_closed(self, tmp_path):
         cfg = RunConfig(orientation=(16, 16), ae_hidden=(64, 32), epochs_ae=3, batch_size=32,
                         lr=1e12, out_dir=str(tmp_path))
         with pytest.raises(PipelineError, match=r"frnet1 epoch \d+ batch \d+: bce"):
             cmd_train_ae(cfg, dataset=synth_blobs(n=64, width=255, seed=0))
         assert not os.path.exists(tmp_path / "ae.ckpt")
+
+
+def test_trained_model_releases_its_gradient_buffers(tmp_path):
+    cfg = tiny_cfg(tmp_path)
+    spec = build_frnet2(feature_count=16, hidden=(8, 4))
+    x = np.random.default_rng(2).random((20, 4, 4, 1), dtype=np.float32)
+    y = (np.arange(20) % 4 == 0).astype(np.float32).reshape(-1, 1)
+    model, _ = _fit(cfg, spec, x, y, 2, (9,), lambda m: 0.0)
+    assert model.graph._grad_bufs == {}
+
+    # the next backward pass rebuilds them, with the gradients of a model never trained
+    twin = compile_model(spec, init_seed=0, random_init=False)
+    twin.set_params({name: Tensor(t.data.copy()) for name, t in model.params().items()})
+    _, _, grads = model.train_step_grads(x[:8], y[:8], 5)
+    _, _, expected = twin.train_step_grads(x[:8], y[:8], 5)
+    assert model.graph._grad_bufs
+    for name, g in expected.items():
+        assert grads[name].data.tobytes() == g.data.tobytes()
+
 
 class TestExtract:
     def test_writes_representation_file(self, trained, blobs48):
@@ -514,6 +533,28 @@ class TestCvRun:
         # the same rows are fold 1's training data, so that model must move
         assert clean["ae_r0_f1.ckpt"] != dirty["ae_r0_f1.ckpt"]
 
+    @pytest.mark.parametrize("global_ae", [False, True])
+    def test_a_per_fold_autoencoder_is_freed_before_the_classifier_trains(
+        self, tmp_path, blobs48, monkeypatch, global_ae
+    ):
+        autoencoders, alive_at_classifier = [], []
+        train_ae, train_clf = pipeline._train_autoencoder, pipeline._train_classifier
+
+        def tracked_ae(*args, **kwargs):
+            out = train_ae(*args, **kwargs)
+            autoencoders.append(weakref.ref(out[0]))
+            return out
+
+        def checked_clf(*args, **kwargs):
+            alive_at_classifier.append(sum(ref() is not None for ref in autoencoders))
+            return train_clf(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_train_autoencoder", tracked_ae)
+        monkeypatch.setattr(pipeline, "_train_classifier", checked_clf)
+        cmd_cv_run(tiny_cfg(tmp_path, global_ae=global_ae), dataset=blobs48)
+        # the shared autoencoder serves every fold, so only it stays
+        assert alive_at_classifier == ([1, 1] if global_ae else [0, 0])
+
     def test_global_ae_mode(self, tmp_path, blobs48):
         cfg = tiny_cfg(tmp_path, global_ae=True)
         _, rd = cmd_cv_run(cfg, dataset=blobs48)
@@ -603,6 +644,62 @@ class TestRank:
         with pytest.warns(UserWarning, match="exceeds the 45 negative"):
             overflow = cmd_rank_candidates(cfg, ae, clf, 46, dataset=blobs48)
         assert overflow == everything
+
+    def test_many_files_load_each_checkpoint_once_and_match_one_file_calls(
+        self, trained, monkeypatch
+    ):
+        cfg = trained["cfg"]
+        ae, clf = trained["ae"]["checkpoint"], trained["clf"]["checkpoint"]
+        files = [synth_blobs(n=n, width=48, seed=s) for n, s in ((30, 11), (50, 12), (12, 13))]
+        alone = [cmd_rank_candidates(cfg, ae, clf, 8, dataset=d) for d in files]
+
+        loads = []
+        load = checkpoint.load
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(checkpoint, "load", counted)
+        together = cmd_rank_files(cfg, ae, clf, 8, files)
+        assert loads == [ae, clf]
+        assert [len(rows) for rows in together] == [8, 8, 8]
+        assert together == alone  # float for float
+
+    def test_the_autoencoder_is_freed_before_the_classifier_loads(self, trained, monkeypatch):
+        cfg = trained["cfg"]
+        ae, clf = trained["ae"]["checkpoint"], trained["clf"]["checkpoint"]
+        built, loaded, alive_at_clf_load = [], [], []
+        load, compile_ = checkpoint.load, pipeline.compile_model
+
+        def tracked_load(path):
+            if path == clf:
+                alive_at_clf_load.append(sum(ref() is not None for ref in built + loaded))
+            state = load(path)
+            loaded.extend(weakref.ref(a) for a in state.params.values())
+            return state
+
+        def tracked_compile(*args, **kwargs):
+            model = compile_(*args, **kwargs)
+            built.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(checkpoint, "load", tracked_load)
+        monkeypatch.setattr(pipeline, "compile_model", tracked_compile)
+        d = synth_blobs(n=20, width=48, seed=5)
+        assert len(cmd_rank_files(cfg, ae, clf, 3, [d, d])) == 2
+        # neither the autoencoder nor any array of its checkpoint outlives its stage
+        assert alive_at_clf_load == [0]
+        assert len(built) == 2
+
+    def test_a_missing_checkpoint_fails_before_either_is_read(self, trained, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(checkpoint, "load", reads.append)
+        for ae, clf in ((trained["ae"]["checkpoint"], str(tmp_path / "absent.ckpt")),
+                        (str(tmp_path / "absent.ckpt"), trained["clf"]["checkpoint"])):
+            with pytest.raises(CheckpointError, match="absent.ckpt: .*No such file"):
+                cmd_rank_files(trained["cfg"], ae, clf, 3, [synth_blobs(n=20, width=48, seed=5)])
+        assert reads == []
 
     def test_score_does_not_depend_on_other_candidates(self, tmp_path):
         # random-init checkpoints at the acceptance-sanity widths

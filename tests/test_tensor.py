@@ -197,3 +197,13 @@ def test_run_chunked_reraises_the_helper_threads_exception(monkeypatch):
     with pytest.raises(KeyError, match="upper piece"):
         run_chunked(PARALLEL_MIN, body)
     assert done == [(0, PARALLEL_MIN // 2)]
+
+
+def test_run_chunked_helper_keeps_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def body(lo, hi):
+        return np.float32(3e38) * np.float32(lo > 0) * np.float32(10)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        run_chunked(PARALLEL_MIN, body)
