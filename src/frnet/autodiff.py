@@ -32,17 +32,8 @@ class OpDef:
     (None for inputs the op never differentiates through).
 
     Each gradient a backward rule returns is either `grad` or a view of it,
-    or an array the rule allocated itself; it never returns one fresh array
-    (or overlapping views of one) for two inputs, nor an argument, the
-    output or saved context. `Graph.backward` relies on this when it sums
-    fan-in in place.
-
-    A one-input kind registered with `adds_into=True` also accepts
-    backward(..., into=adjoint): `into` is the input's adjoint so far, a
-    C-contiguous array of the input's shape and dtype that the pass owns.
-    The rule adds its gradient into it, in place, and returns `(into,)`. It
-    is passed only when such an adjoint exists, so the rule still allocates
-    when it is the input's first consumer in the reverse walk.
+    or an array the rule allocated itself; never an argument, the output or
+    saved context.
 
     A kind registered with `writes_bufs=True` also accepts
     backward(..., bufs=buffers): one entry per input, the gradient buffer of
@@ -58,20 +49,15 @@ class OpDef:
 
 
 _REGISTRY: dict[str, OpDef] = {}
-# Kinds whose backward rule accepts `into=`. Kept by kind, apart from the
+# Kinds whose backward rule accepts `bufs=`. Kept by kind, apart from the
 # OpDef, so a registry entry rebuilt around wrapped kernels keeps it.
-_ADDS_INTO: set[str] = set()
-# Kinds whose backward rule accepts `bufs=`, kept the same way.
 _WRITES_BUFS: set[str] = set()
 
 
-def register_op(kind: str, forward: Callable, backward: Callable, adds_into: bool = False,
-                writes_bufs: bool = False) -> None:
+def register_op(kind: str, forward: Callable, backward: Callable, writes_bufs: bool = False) -> None:
     if kind in _REGISTRY:
         raise ValueError(f"operator kind {kind!r} already registered")
     _REGISTRY[kind] = OpDef(forward, backward)
-    if adds_into:
-        _ADDS_INTO.add(kind)
     if writes_bufs:
         _WRITES_BUFS.add(kind)
 
@@ -86,7 +72,6 @@ class RunCtx:
 
     mode: str
     dropout_seed: int
-    node_id: int = 0
 
 
 @dataclass
@@ -161,9 +146,10 @@ class Graph:
         return self._add(kind, inputs, attrs, name)
 
     def set_parameter(self, node_id: int, value: Tensor) -> None:
+        if not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < len(self.nodes)
+                and self.nodes[node_id].is_parameter):
+            raise GraphError(f"node {node_id!r} is not a parameter of this graph")
         node = self.nodes[node_id]
-        if not node.is_parameter:
-            raise GraphError(f"node {node.name} is not a parameter")
         if node.value is not None and node.value.shape != value.shape:
             raise ShapeMismatchError(
                 f"parameter {node.name}: cannot assign shape {value.shape} over {node.value.shape}"
@@ -227,7 +213,6 @@ class Graph:
                     raise GraphError(f"parameter {node.name!r} has no value")
                 values[node.id] = np.asarray(node.value.data, dtype=dtype)
             else:
-                ctx.node_id = node.id
                 args = [values[i] for i in node.inputs]
                 out, sv = _REGISTRY[node.op].forward(args, node.attrs, ctx)
                 values[node.id] = out
@@ -251,18 +236,9 @@ class Graph:
         gradients, the conv2d and bias_add bias gradients); any other first
         term of a parameter is copied into its buffer.
 
-        A node with several consumers sums their gradients in place, with
-        `np.add(a, g, out=a)` (the same bits as `a + g`), but only into an
-        adjoint this pass owns: one a backward rule returned that shares no
-        memory with that rule's upstream `grad`, and that has the dtype and
-        shape of the contribution added to it, or one this pass built itself,
-        a parameter's buffer included. When the consumer is a kind
-        registered with `adds_into` and its input's owned adjoint is
-        C-contiguous with the input's dtype and shape, that adjoint is handed
-        to the rule as `into=`, and the rule adds its term there without a
-        gradient-sized temporary (so an l2 penalty created before the matmul
-        or conv reading its weight adds into that weight's buffer). Any
-        other sum allocates. No forward value is ever written.
+        A parameter with several consumers sums their terms into its buffer
+        in place, with `np.add(buf, g, out=buf)` (the same bits as `buf + g`).
+        Every other fan-in sum allocates, and no forward value is ever written.
         """
         if loss_id not in self._values:
             raise GraphError("backward requires a forward pass that computed the loss node")
@@ -270,30 +246,14 @@ class Graph:
         if loss.size != 1:
             raise GraphError(f"loss node must be scalar, got shape {loss.shape}")
         adjoints: dict[int, np.ndarray] = {loss_id: np.ones_like(loss)}
-        # per adjoint, the upstream grad of the rule that returned its first
-        # term, or None once it is an array this pass built itself
-        source: dict[int, np.ndarray | None] = {}
         needed = self._ancestors([loss_id])
-
-        def owned(inp):
-            a, up = adjoints[inp], source[inp]
-            return up is None or (a.flags.writeable and not np.may_share_memory(a, up))
-
         for node in reversed(self.nodes):
-            if node.id not in needed or node.id not in adjoints:
+            if node.id not in needed or node.id not in adjoints or not node.inputs:
                 continue
-            if not node.inputs:
-                continue
-            grad = adjoints[node.id]
-            args = [self._values[i] for i in node.inputs]
+            grad, args = adjoints[node.id], [self._values[i] for i in node.inputs]
             extra = {}
             bufs = (None,) * len(node.inputs)
-            if node.op in _ADDS_INTO:
-                a, x = adjoints.get(node.inputs[0]), args[0]
-                if (a is not None and owned(node.inputs[0]) and a.flags.c_contiguous
-                        and a.dtype == x.dtype and a.shape == x.shape):
-                    extra["into"] = a
-            elif node.op in _WRITES_BUFS:
+            if node.op in _WRITES_BUFS:
                 bufs = extra["bufs"] = tuple(
                     self._grad_buffer(i, x.shape, x.dtype)
                     if self.nodes[i].is_parameter and i not in adjoints and node.inputs.count(i) == 1
@@ -307,27 +267,22 @@ class Graph:
                 if g is None:
                     continue
                 a = adjoints.get(inp)
-                if a is None:
-                    if not self.nodes[inp].is_parameter:
-                        adjoints[inp], source[inp] = g, grad
-                        continue
-                    if g is not buf:  # the rule did not write into the buffer
-                        buf = self._grad_buffer(inp, g.shape, g.dtype)
-                        np.copyto(buf, g)
-                    adjoints[inp], source[inp] = buf, None
-                    continue
-                if g is extra.get("into"):
-                    pass  # the rule added its term into a
-                elif owned(inp) and g.dtype == a.dtype and g.shape == a.shape:
+                if not self.nodes[inp].is_parameter:
+                    adjoints[inp] = g if a is None else a + g
+                elif a is not None:
                     np.add(a, g, out=a)
+                elif g is buf:  # the rule wrote into the buffer
+                    adjoints[inp] = buf
                 else:
-                    adjoints[inp] = a + g
-                source[inp] = None
+                    adjoints[inp] = self._grad_buffer(inp, g.shape, g.dtype)
+                    np.copyto(adjoints[inp], g)
         out = {}
         for node in self.nodes:
             if node.is_parameter:
                 g = adjoints.get(node.id)
                 if g is None:
+                    if node.value is None:
+                        raise GraphError(f"parameter {node.name!r} has no value")
                     g = self._grad_buffer(node.id, node.value.shape, loss.dtype)
                     g.fill(0)
                 out[node.id] = Tensor._wrap(g)

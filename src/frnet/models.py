@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import EVAL, TRAIN, Graph
 from .errors import ShapeMismatchError
-from .nnops import same_pad
+from .nnops import l2_penalty_grad, l2_penalty_value, same_pad
 from .rng import INIT
 from .tensor import Tensor
 
@@ -307,9 +307,11 @@ def _lower(spec: NetworkSpec, g: Graph):
     The one walk over a spec and the one place parameters are named. The
     first layer, and only it, is the input, and no two layers share a name.
     Parameters are declared by name and shape with no value, so lowering
-    allocates nothing sized by the spec. Returns each layer's per-example
-    output shape (batch axis omitted), each layer's output node, the l2
-    penalty nodes and each parameter node's shape by id, in order.
+    allocates nothing sized by the spec. Each dropout node's `key`, which
+    seeds its mask, is the layer's index in `spec.layers`. Returns each
+    layer's per-example output shape (batch axis omitted), each layer's
+    output node, the `(weight node, l2 scale)` of every weight with an l2
+    term and each parameter node's shape by id, in order.
     """
     shapes, outputs, l2_terms, declared = {}, {}, [], {}
 
@@ -319,17 +321,11 @@ def _lower(spec: NetworkSpec, g: Graph):
         return node
 
     def affine(name, src, w_shape, activation, l2, stride=1):
-        """Conv (4-d weight) or dense (2-d weight) plus bias, activation and l2 term.
-
-        The l2 node comes before the op that reads w, so the reverse walk
-        reaches that op first and the penalty adds into its fresh gradient
-        of w. The block's node count does not depend on the order, so the
-        ids outside it (which seed the dropout masks) stay put.
-        """
+        """Conv (4-d weight) or dense (2-d weight) plus bias and activation."""
         w = param(f"{name}/w", w_shape)
         b = param(f"{name}/b", w_shape[-1:])
         if l2 > 0:
-            l2_terms.append(g.apply("l2_penalty", [w], name=f"{name}/l2", scale=l2))
+            l2_terms.append((w, l2))
         if len(w_shape) == 4:
             node = g.apply("conv2d", [src, w, b], name=name, stride=stride)
         else:
@@ -393,7 +389,7 @@ def _lower(spec: NetworkSpec, g: Graph):
             node = affine(layer.name, src[0], (ins[0][0], layer.width), layer.activation, layer.l2_scale)
         elif isinstance(layer, Dropout):
             out = ins[0]
-            node = g.apply("dropout", src, name=layer.name, keep_prob=layer.keep_prob)
+            node = g.apply("dropout", src, name=layer.name, keep_prob=layer.keep_prob, key=k)
         elif isinstance(layer, Concat):
             if any(len(s) != 3 for s in ins):
                 raise ShapeMismatchError(f"concat {layer.name} needs rank-3 item inputs")
@@ -420,15 +416,16 @@ def _glorot(rng, shape) -> Tensor:
 class CompiledModel:
     """A NetworkSpec instantiated as a computation graph with parameters.
 
-    Holds the placeholder/output/loss node ids and the tap map. The loss is
-    mean binary cross-entropy on the output plus each layer's l2_scale *
-    sum(w^2) penalty (weights only, never biases).
+    Holds the placeholder/output/loss node ids and the tap map. The graph's
+    loss node is the mean binary cross-entropy on the output; a training
+    step adds each layer's l2_scale * sum(w^2) penalty (weights only, never
+    biases) outside the graph, in `train_step_grads`.
     """
 
     def __init__(self, spec: NetworkSpec, init_seed: int, random_init: bool = True):
         self.spec = spec
         g = self.graph = Graph()
-        self.shapes, outputs, l2_terms, declared = _lower(spec, g)
+        self.shapes, outputs, self.l2_terms, declared = _lower(spec, g)
         # In creation order, weights (rank >= 2) draw from one stream; biases,
         # and every parameter without random_init, start at zero.
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([init_seed, INIT])))
@@ -439,11 +436,7 @@ class CompiledModel:
         self.output_id = outputs[spec.output_layer.name]
         self.tap_ids = {tap: outputs[lname] for tap, lname in spec.taps.items()}
         self.target_id = g.placeholder("y")
-        self.data_loss_id = g.apply("bce", [self.output_id, self.target_id], name="data_loss", eps=1e-7)
-        loss = self.data_loss_id
-        for term in l2_terms:
-            loss = g.apply("add", [loss, term], name=f"loss_acc_{term}")
-        self.loss_id = loss
+        self.loss_id = g.apply("bce", [self.output_id, self.target_id], name="data_loss", eps=1e-7)
         self.param_ids = g.parameters()
 
     def params(self) -> dict[str, Tensor]:
@@ -466,15 +459,27 @@ class CompiledModel:
     def train_step_grads(self, x: np.ndarray, y: np.ndarray, dropout_seed: int):
         """Forward+backward in train mode; returns (total loss, data loss, grads by name).
 
-        The gradients are the graph's buffers, which the next call overwrites.
+        After the graph's backward pass, each weight's l2 term is added, in
+        lowering order, to the float32 data loss, and its gradient `c * w`
+        (c = the float32 loss adjoint 1.0 * 2.0 * scale) into the weight's
+        gradient buffer in place. The penalty is coupled L2, a gradient term
+        the optimizer sees, not decoupled weight decay. The gradients are the
+        graph's buffers, which the next call overwrites.
         """
+        g = self.graph
         feeds = {self.input_id: Tensor(x), self.target_id: Tensor(y)}
-        vals = self.graph.forward(feeds, mode=TRAIN, dropout_seed=dropout_seed, outputs=[self.loss_id])
-        grads_by_id = self.graph.backward(self.loss_id)
+        vals = g.forward(feeds, mode=TRAIN, dropout_seed=dropout_seed, outputs=[self.loss_id])
+        data = vals[self.loss_id].data
+        grads_by_id = g.backward(self.loss_id)
+        total, one = data, data.dtype.type(1.0)
+        for w, scale in self.l2_terms:
+            value, dw = g.nodes[w].value.data, grads_by_id[w].data
+            total = total + l2_penalty_value(value, scale)
+            dw.flags.writeable = True  # the graph's own buffer, read-only to holders
+            l2_penalty_grad(value, scale, one, into=dw)
+            dw.flags.writeable = False
         grads = {name: grads_by_id[i] for name, i in self.param_ids.items()}
-        total = float(vals[self.loss_id].data[0])
-        data = float(self.graph.value(self.data_loss_id).data[0])
-        return total, data, grads
+        return float(total[0]), float(data[0]), grads
 
 
 def compile_model(spec: NetworkSpec, init_seed: int, random_init: bool = True) -> CompiledModel:

@@ -25,12 +25,15 @@ path that copies each window and takes its argmax (the tests keep that path
 as the reference), with one exception: the identity pool's backward passes a
 -0.0 adjoint through, where a zero-filled scatter gives +0.0.
 
-The l2 penalty is registered with `adds_into`: when its weight's gradient
-already holds the conv's or matmul's term, the graph hands that array over
-and the rule adds `c * w` into it (one CHUNK at a time for a weight larger
-than one CHUNK), so a weight with an l2 term gets one weight-sized gradient,
-not two and their sum. Float addition and multiplication are commutative,
-so the bits equal `dw + c * w`.
+Dropout draws its mask from `(dropout_seed, key)`, where `key` is a node
+attribute: the model lowering passes the dropout layer's index in the spec,
+so a mask does not depend on where its node sits in the graph.
+
+The l2 penalty's value and gradient are `l2_penalty_value` and
+`l2_penalty_grad`. The `l2_penalty` kind runs them as a graph node, and
+`CompiledModel.train_step_grads` calls them after the backward pass, adding
+each weight's term `c * w` into that weight's gradient buffer one CHUNK at a
+time, so a weight with an l2 term gets one weight-sized gradient.
 
 conv2d, matmul and bias_add are registered with `writes_bufs`: handed a
 parameter's gradient buffer, the rule computes the weight or bias gradient
@@ -251,19 +254,21 @@ def _sigmoid_bwd(grad, args, out, saved, attrs):
 # dropout
 
 
-def _dropout_mask(shape, keep_prob, seed, node_id):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, node_id])))
+def _dropout_mask(shape, keep_prob, seed, key):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
     return rng.random(shape) < keep_prob
 
 
 def _dropout_fwd(args, attrs, ctx):
     (x,) = args
-    keep = attrs["keep_prob"]
+    keep, key = attrs["keep_prob"], attrs.get("key")
     if not 0.0 < keep <= 1.0:
         raise GraphError(f"dropout: keep_prob must be in (0, 1], got {keep}")
+    if not (isinstance(key, (int, np.integer)) and key >= 0):
+        raise GraphError(f"dropout: the mask key must be an integer >= 0, got {key!r}")
     if ctx.mode != TRAIN or keep == 1.0:
         return x.copy(), None
-    mask = _dropout_mask(x.shape, keep, ctx.dropout_seed, ctx.node_id)
+    mask = _dropout_mask(x.shape, keep, ctx.dropout_seed, key)
     scale = mask.astype(x.dtype) / x.dtype.type(keep)
     return x * scale, scale
 
@@ -407,37 +412,45 @@ def _bce_bwd(grad, args, out, saved, attrs):
     return dpred.astype(pred.dtype), dtarget.astype(pred.dtype)
 
 
-def _l2_penalty_fwd(args, attrs, ctx):
-    # float64 sum of squares over flat chunks: no full-size float64 temporary.
-    # Only the reported loss reads this value; the backward rule uses w.
-    (w,) = args
+def l2_penalty_value(w, scale):
+    """scale * sum(w^2) as a one-element array of w's dtype.
+
+    The sum of squares is taken in float64 over flat chunks, so it builds no
+    full-size float64 temporary.
+    """
     flat, buf = w.reshape(-1), np.empty(CHUNK)
     total = 0.0
     for s in range(0, flat.size, CHUNK):
         c = buf[: min(CHUNK, flat.size - s)]
         np.copyto(c, flat[s : s + CHUNK])
         total += np.square(c, out=c).sum()
-    return np.array([attrs["scale"] * total], dtype=w.dtype), None
+    return np.array([scale * total], dtype=w.dtype)
 
 
-def _l2_penalty_bwd(grad, args, out, saved, attrs, into=None):
-    # d/dw = c * w. Handed w's adjoint, the rule adds c * w into it: as one
-    # product for a weight of at most one CHUNK (no larger than the scratch),
-    # else one CHUNK at a time through one scratch buffer. It allocates a
-    # weight-sized gradient only when there is no adjoint to add into.
-    (w,) = args
-    c = grad[0] * 2.0 * attrs["scale"]
+def l2_penalty_grad(w, scale, adjoint, into=None):
+    """The penalty's gradient times `adjoint`: c * w, with c = adjoint * 2.0 * scale.
+
+    Handed `into` (C-contiguous, writeable, of w's shape and dtype), it adds
+    c * w there one CHUNK at a time through one scratch buffer, with the bits
+    of `into + c * w`, and returns `into`. Otherwise it returns a fresh c * w.
+    """
+    c = adjoint * 2.0 * scale
     if into is None:
-        return (c * w,)
-    if w.size <= CHUNK:
-        np.add(into, c * w, out=into)
-        return (into,)
+        return c * w
     flat, acc = w.reshape(-1), into.reshape(-1)
-    buf = np.empty(CHUNK, dtype=into.dtype)
+    buf = np.empty(min(CHUNK, flat.size), dtype=into.dtype)
     for s in range(0, flat.size, CHUNK):
         a = acc[s : s + CHUNK]
         np.add(a, np.multiply(flat[s : s + CHUNK], c, out=buf[: a.size]), out=a)
-    return (into,)
+    return into
+
+
+def _l2_penalty_fwd(args, attrs, ctx):
+    return l2_penalty_value(args[0], attrs["scale"]), None
+
+
+def _l2_penalty_bwd(grad, args, out, saved, attrs):
+    return (l2_penalty_grad(args[0], attrs["scale"], grad[0]),)
 
 
 register_op("conv2d", _conv2d_fwd, _conv2d_bwd, writes_bufs=True)
@@ -456,5 +469,5 @@ register_op("mul", _mul_fwd, _mul_bwd)
 register_op("reduce_sum", _sum_fwd, _sum_bwd)
 register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("bce", _bce_fwd, _bce_bwd)
-register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd, adds_into=True)
+register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd)
 

@@ -13,6 +13,9 @@ from frnet.tensor import Tensor
 
 GRAD_STEP = 1e-3
 GRAD_TOL = 1e-4
+# mask key of the dropout cases: the one-op graphs put the dropout at node 1,
+# the id that seeded their masks when masks were keyed by node id
+DROPOUT_KEY = 1
 
 # fuzz tests stay deterministic and bounded: same examples every run
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -137,6 +140,24 @@ def allocating_backward(g, loss_id):
     return {i: adjoints[i].copy() for i in g.parameters().values()}
 
 
+def allocating_train_grads(model, x, y, dropout_seed):
+    """A model's training gradients by name, as fresh arrays: the allocating
+    backward pass of its data loss, plus a fresh `c * w` for each weight of a
+    layer with an l2 scale, c = float32 1.0 * 2.0 * scale."""
+    g = model.graph
+    g.forward({model.input_id: Tensor(x), model.target_id: Tensor(y)}, mode=TRAIN,
+              dropout_seed=dropout_seed, outputs=[model.loss_id])
+    by_id = allocating_backward(g, model.loss_id)
+    scales = {layer.name: getattr(layer, "l2_scale", 0.0) for layer in model.spec.layers}
+    grads = {}
+    for name, i in model.param_ids.items():
+        scale = scales[name.split("/")[0]]
+        if name.endswith("/w") and scale > 0:
+            by_id[i] = by_id[i] + np.float32(1.0) * 2.0 * scale * g.value(i).data
+        grads[name] = by_id[i]
+    return grads
+
+
 def allocating_adam_step(params, grads, state):
     """The Adam update adam_step replaced, kept as its bitwise reference: it
     builds every temporary and returns new float32 parameter tensors."""
@@ -191,9 +212,10 @@ def gradcheck_cases() -> list[dict]:
         dict(kind="bias_add", inputs=[rand(2, 3, 2, 5), rand(5)]),
         dict(kind="relu", inputs=[away_from_zero(3, 7)]),
         dict(kind="sigmoid", inputs=[rand(4, 5, lo=-3.0, hi=3.0)]),
-        dict(kind="dropout", inputs=[rand(6, 6)], attrs={"keep_prob": 0.7},
+        dict(kind="dropout", inputs=[rand(6, 6)], attrs={"keep_prob": 0.7, "key": DROPOUT_KEY},
              mode=TRAIN, dropout_seed=9),
-        dict(kind="dropout", inputs=[rand(3, 3)], attrs={"keep_prob": 0.5}, mode=EVAL),
+        dict(kind="dropout", inputs=[rand(3, 3)], attrs={"keep_prob": 0.5, "key": DROPOUT_KEY},
+             mode=EVAL),
         dict(kind="flatten", inputs=[rand(2, 3, 2, 2)]),
         dict(kind="reshape", inputs=[rand(2, 6)], attrs={"item_shape": (3, 2, 1)}),
         dict(kind="concat", inputs=[rand(2, 3, 2, 1), rand(2, 3, 2, 4), rand(2, 3, 2, 2)]),
@@ -257,7 +279,7 @@ def random_gradcheck_case(kind: str, rng: np.random.Generator) -> dict:
         return dict(
             kind=kind,
             inputs=[rand(d(2, 5), d(2, 5))],
-            attrs={"keep_prob": float(rng.choice([0.5, 0.7, 0.9]))},
+            attrs={"keep_prob": float(rng.choice([0.5, 0.7, 0.9])), "key": DROPOUT_KEY},
             mode=TRAIN if rng.random() < 0.7 else EVAL,
             dropout_seed=int(rng.integers(0, 2**31)),
         )

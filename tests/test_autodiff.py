@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import allocating_backward, peak_alloc
+from conftest import allocating_backward, allocating_train_grads, peak_alloc
 from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, OpDef, op_kinds
 from frnet.errors import GraphError
 from frnet.models import Conv, Dense, Flatten, Input, NetworkSpec, compile_model
@@ -69,6 +69,28 @@ def test_backward_rejects_nonscalar_loss():
         g.backward(y)
 
 
+def test_backward_names_an_unset_parameter_it_does_not_reach():
+    g = Graph()
+    x = g.parameter("x", Tensor([3.0]))
+    g.parameter("later", None)
+    loss = g.apply("reduce_sum", [x])
+    g.forward({}, outputs=[loss])
+    with pytest.raises(GraphError, match="parameter 'later' has no value"):
+        g.backward(loss)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 0, 1.0, "w", None])
+def test_set_parameter_rejects_ids_that_are_not_parameters(bad):
+    g = Graph()
+    g.placeholder("x")
+    w = g.parameter("w", Tensor([1.0, 2.0]))
+    with pytest.raises(GraphError, match=f"node {bad!r} is not a parameter"):
+        g.set_parameter(bad, Tensor([3.0, 4.0]))
+    assert g.nodes[w].value.tolist() == [1.0, 2.0]
+    g.set_parameter(np.int64(w), Tensor([3.0, 4.0]))
+    assert g.nodes[w].value.tolist() == [3.0, 4.0]
+
+
 def test_disconnected_parameter_gets_zero_gradient():
     g = Graph()
     x = g.parameter("x", Tensor([3.0]))
@@ -128,7 +150,7 @@ def test_train_forward_backward_bitwise_deterministic():
     x = g.placeholder("x")
     w = g.parameter("w", Tensor(rng.standard_normal((8, 4)).astype(np.float32)))
     h = g.apply("matmul", [x, w])
-    d = g.apply("dropout", [h], keep_prob=0.5)
+    d = g.apply("dropout", [h], keep_prob=0.5, key=3)
     loss = g.apply("reduce_sum", [d])
     feed = {x: Tensor(rng.standard_normal((3, 8)).astype(np.float32))}
 
@@ -143,7 +165,7 @@ def test_train_forward_backward_bitwise_deterministic():
 def test_eval_forward_ignores_dropout_seed():
     g = Graph()
     x = g.placeholder("x")
-    d = g.apply("dropout", [x], keep_prob=0.5)
+    d = g.apply("dropout", [x], keep_prob=0.5, key=1)
     feed = {x: Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))}
     a = g.forward(feed, mode=EVAL, dropout_seed=1)[d]
     b = g.forward(feed, mode=EVAL, dropout_seed=999)[d]
@@ -153,11 +175,22 @@ def test_eval_forward_ignores_dropout_seed():
 def test_train_dropout_seed_changes_mask():
     g = Graph()
     x = g.placeholder("x")
-    d = g.apply("dropout", [x], keep_prob=0.5)
+    d = g.apply("dropout", [x], keep_prob=0.5, key=1)
     feed = {x: Tensor(np.ones((50, 20), dtype=np.float32))}
     a = g.forward(feed, mode=TRAIN, dropout_seed=1)[d]
     b = g.forward(feed, mode=TRAIN, dropout_seed=2)[d]
     assert a != b
+
+
+@pytest.mark.parametrize("attrs", [{}, {"key": -1}, {"key": 1.5}, {"key": None}],
+                         ids=["missing", "negative", "float", "none"])
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_dropout_without_an_integer_key_is_a_graph_error(attrs, mode):
+    g = Graph()
+    x = g.placeholder("x")
+    d = g.apply("dropout", [x], keep_prob=0.5, **attrs)
+    with pytest.raises(GraphError, match="key"):
+        g.forward({x: Tensor(np.ones((2, 3)))}, mode=mode, outputs=[d])
 
 
 def test_unknown_op_and_bad_mode_rejected():
@@ -311,27 +344,31 @@ def test_fan_in_on_the_float64_shadow_pass():
 
 
 def test_dense_weight_with_l2_term_sums_its_gradient_in_place():
-    # the matmul and the l2 penalty each hand w a weight-sized gradient; their
-    # sum goes into one of them rather than into a third weight-sized array
+    # the matmul writes w's gradient into its buffer and the training step
+    # adds the l2 term there, rather than into a second weight-sized array
+    # and then their sum
+    spec = NetworkSpec("dense", (
+        Input("in", (), (32, 32, 1)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 1024, "sigmoid", 0.001),
+    ))
+    model = compile_model(spec, init_seed=35)
     rng = np.random.default_rng(35)
-    g = Graph()
-    x = g.placeholder("x")
-    w = _param(g, "w", (1024, 1024), rng)
-    h = g.apply("matmul", [x, w])
-    loss = g.apply("add", [g.apply("reduce_mean", [h]), g.apply("l2_penalty", [w], scale=0.001)])
-    g.forward({x: Tensor(rng.standard_normal((8, 1024)).astype(np.float32))}, outputs=[loss])
-    want = allocating_backward(g, loss)[w]
-    grads, peak = peak_alloc(lambda: g.backward(loss))
-    nbytes = g.value(w).data.nbytes
-    assert peak < 2.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
-    assert grads[w].data.tobytes() == want.tobytes()
+    x = rng.standard_normal((8, 32, 32, 1)).astype(np.float32)
+    y = (rng.random((8, 1024)) < 0.5).astype(np.float32)
+    want = allocating_train_grads(model, x, y, 0)["fc/w"]
+    grads, peak = peak_alloc(lambda: model.train_step_grads(x, y, dropout_seed=0)[2])
+    nbytes = model.params()["fc/w"].data.nbytes
+    assert peak < 2.5 * nbytes, f"training step peaked at {peak / nbytes:.2f} weight sizes"
+    assert grads["fc/w"].data.tobytes() == want.tobytes()
 
 
 def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
-    # As lowered, each l2 node precedes the conv or matmul reading its weight,
-    # so it meets that op's fresh gradient and adds into it: backward holds
-    # one gradient per weight. The same must hold with every registry entry
-    # rebuilt around pass-through *args, **kwargs wrappers, as a tracer does.
+    # A training step adds each weight's l2 term into the gradient the conv
+    # or matmul wrote into that weight's buffer, so it holds one gradient per
+    # weight. The same must hold with every registry entry rebuilt around
+    # pass-through *args, **kwargs wrappers, as a tracer does; the l2_penalty
+    # kind itself never runs.
     spec = NetworkSpec("tiny", (
         Input("in", (), (16, 16, 1)),
         Conv("conv", ("in",), 3, 3, 8, 1, "relu", 0.01),
@@ -340,36 +377,35 @@ def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
     ))
     model = compile_model(spec, init_seed=3)
     rng = np.random.default_rng(36)
-    feeds = {
-        model.input_id: Tensor(rng.random((4, 16, 16, 1), dtype=np.float32)),
-        model.target_id: Tensor((rng.random((4, 500)) < 0.5).astype(np.float32)),
-    }
-    g, loss = model.graph, model.loss_id
-    g.forward(feeds, mode=TRAIN, dropout_seed=1, outputs=[loss])
-    want = allocating_backward(g, loss)
-    _, first_peak = peak_alloc(lambda: g.backward(loss))
-    # the first pass makes the gradient buffers; later passes reuse them
-    plain, plain_peak = peak_alloc(lambda: g.backward(loss))
-    plain = {i: t.data.copy() for i, t in plain.items()}
+    x = rng.random((4, 16, 16, 1), dtype=np.float32)
+    y = (rng.random((4, 500)) < 0.5).astype(np.float32)
+    want = allocating_train_grads(model, x, y, 1)
 
-    l2_calls = []
+    def step():
+        return model.train_step_grads(x, y, dropout_seed=1)[2]
+
+    # the first step makes the gradient buffers; later steps reuse them
+    _, first_peak = peak_alloc(step)
+    plain, plain_peak = peak_alloc(step)
+    plain = {name: t.data.copy() for name, t in plain.items()}
+
+    kinds = []
 
     def passthrough(fn, kind):
         def wrapped(*args, **kwargs):
-            if kind == "l2_penalty":
-                l2_calls.append(set(kwargs))
+            kinds.append(kind)
             return fn(*args, **kwargs)
         return wrapped
 
     for kind, op in list(_REGISTRY.items()):
         monkeypatch.setitem(_REGISTRY, kind, OpDef(passthrough(op.forward, kind),
                                                    passthrough(op.backward, kind)))
-    traced, traced_peak = peak_alloc(lambda: g.backward(loss))
+    traced, traced_peak = peak_alloc(step)
 
     nbytes = max(v.data.nbytes for v in model.params().values())
     for peak in (first_peak, plain_peak, traced_peak):
-        assert peak < 1.5 * nbytes, f"backward peaked at {peak / nbytes:.2f} weight sizes"
+        assert peak < 1.5 * nbytes, f"training step peaked at {peak / nbytes:.2f} weight sizes"
     assert abs(traced_peak - plain_peak) < 0.05 * nbytes
-    assert l2_calls == [{"into"}, {"into"}]
-    for i, w in want.items():
-        assert plain[i].tobytes() == w.tobytes() == traced[i].data.tobytes(), g.nodes[i].name
+    assert {"conv2d", "matmul"} <= set(kinds) and "l2_penalty" not in kinds
+    for name, w in want.items():
+        assert plain[name].tobytes() == w.tobytes() == traced[name].data.tobytes(), name

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import peak_alloc
+from frnet.autodiff import TRAIN, Graph
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
     DEEP_FEATURES,
     Conv,
     Dense,
+    Dropout,
     Flatten,
     Inception,
     InceptionSpec,
@@ -25,6 +27,7 @@ from frnet.models import (
     spec_from_dict,
     spec_to_dict,
 )
+from frnet.tensor import Tensor
 
 FRNET1_TRACE = {
     "in": (211, 7, 1),
@@ -231,45 +234,47 @@ def test_train_step_returns_gradients_for_all_parameters():
     assert total >= data > 0.0
 
 
-# Every node outside an affine block (weight, bias, l2 term, conv or matmul
-# and bias add, activation), by id: dropout masks are seeded by node id, so
-# these ids are part of what a trained model is. The loss accumulators are
-# named after the l2 node they add, so only their ids are pinned.
-_FRNET1_OUTSIDE = {
-    0: ("input", "x"), 6: ("maxpool2d", "pool1"), 37: ("maxpool2d", "incep1/pool"),
-    38: ("concat", "incep1"), 39: ("flatten", "flat"), 52: ("dropout", "drop"),
-    59: ("input", "y"), 60: ("bce", "data_loss"),
-    **{i: ("add", "loss_acc") for i in range(61, 71)},
-}
-_FRNET2_OUTSIDE = {
-    0: ("input", "x"), 6: ("maxpool2d", "pool1"), 37: ("maxpool2d", "incep_s1/pool"),
-    38: ("concat", "incep_s1"), 39: ("maxpool2d", "pool_s1"), 70: ("maxpool2d", "incep_s2/pool"),
-    71: ("concat", "incep_s2"), 72: ("concat", "merge"), 103: ("maxpool2d", "incep_top/pool"),
-    104: ("concat", "incep_top"), 105: ("flatten", "flat"), 118: ("dropout", "drop"),
-    125: ("input", "y"), 126: ("bce", "data_loss"),
-    **{i: ("add", "loss_acc") for i in range(127, 149)},
-}
-_AFFINE_OPS = {"param", "l2_penalty", "conv2d", "matmul", "bias_add", "relu", "sigmoid"}
+def _two_dropout_spec():
+    return NetworkSpec("two_drops", (
+        Input("in", (), (4, 4, 1)),
+        Flatten("flat", ("in",)),
+        Dense("fc1", ("flat",), 8, "relu"),
+        Dropout("drop1", ("fc1",), 0.5),
+        Dense("fc2", ("drop1",), 8, "relu"),
+        Dropout("drop2", ("fc2",), 0.5),
+        Dense("out", ("drop2",), 1, "sigmoid"),
+    ))
 
 
 @pytest.mark.parametrize("spec, want", [
-    (build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128)), _FRNET1_OUTSIDE),
-    (build_frnet2(feature_count=256, hidden=(64, 32)), _FRNET2_OUTSIDE),
-], ids=["frnet1", "frnet2"])
-def test_lowering_keeps_the_ids_outside_affine_blocks(spec, want):
+    (build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128)), [("drop", 7)]),
+    (build_frnet2(feature_count=256, hidden=(64, 32)), [("drop", 11)]),
+    (_two_dropout_spec(), [("drop1", 3), ("drop2", 5)]),
+], ids=["frnet1", "frnet2", "two-dropouts"])
+def test_each_dropout_is_keyed_by_its_layer_index(spec, want):
     g = compile_model(spec, init_seed=0, random_init=False).graph
-    got = {}
-    for n in g.nodes:
-        if n.op in _AFFINE_OPS:
-            continue
-        if n.name.startswith("loss_acc_"):
-            term = g.nodes[n.inputs[1]]
-            assert term.op == "l2_penalty" and n.name == f"loss_acc_{term.id}"
-            got[n.id] = (n.op, "loss_acc")
-        else:
-            got[n.id] = (n.op, n.name)
-    assert got == want
-    assert len(g.nodes) == max(want) + 1
+    assert [(n.name, n.attrs["key"]) for n in g.nodes if n.op == "dropout"] == want
+    assert [spec.layers[k].name for _, k in want] == [name for name, _ in want]
+    # the l2 penalty is added by the training step, not built into the graph
+    assert all(n.op != "l2_penalty" for n in g.nodes)
+
+
+def test_a_dropout_mask_depends_only_on_the_seed_and_the_key():
+    ones = Tensor(np.ones((40, 25), dtype=np.float32))
+
+    def mask(key, unused=0, seed=5):
+        # `unused` placeholders ahead of x put the dropout at node id unused + 1
+        g = Graph()
+        for i in range(unused):
+            g.placeholder(f"unused{i}")
+        x = g.placeholder("x")
+        d = g.apply("dropout", [x], keep_prob=0.5, key=key)
+        return g.forward({x: ones}, mode=TRAIN, dropout_seed=seed, outputs=[d])[d].data
+
+    same = mask(3)
+    assert np.array_equal(mask(3, unused=6), same)
+    assert not np.array_equal(mask(4), same)
+    assert not np.array_equal(mask(3, seed=6), same)
 
 
 def test_spec_dict_round_trip():

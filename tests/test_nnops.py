@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
+from conftest import DROPOUT_KEY, GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import Conv, Input, NetworkSpec, infer_shapes
@@ -187,13 +187,13 @@ def test_dense_shape_error():
 def test_dropout_identity_cases():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 5)).astype(np.float32)
-    assert np.array_equal(run_op("dropout", x, keep_prob=1.0, mode=TRAIN, dropout_seed=3), x)
-    assert np.array_equal(run_op("dropout", x, keep_prob=0.5, mode=EVAL, dropout_seed=3), x)
-    assert np.array_equal(run_op("dropout", x, keep_prob=0.5, mode=EVAL, dropout_seed=99), x)
+    for keep, mode, seed in ((1.0, TRAIN, 3), (0.5, EVAL, 3), (0.5, EVAL, 99)):
+        out = run_op("dropout", x, keep_prob=keep, key=DROPOUT_KEY, mode=mode, dropout_seed=seed)
+        assert np.array_equal(out, x)
 
 
 def test_dropout_mean_concentration():
-    out = run_op("dropout", np.ones(10_000), keep_prob=0.5, mode=TRAIN, dropout_seed=7)
+    out = run_op("dropout", np.ones(10_000), keep_prob=0.5, key=DROPOUT_KEY, mode=TRAIN, dropout_seed=7)
     assert 0.94 <= float(out.mean()) <= 1.06
     # survivors are scaled by 1/keep_prob
     assert np.all(out[out != 0] == 2.0)
@@ -203,7 +203,7 @@ def test_dropout_rejects_bad_keep_prob():
     for bad in (0.0, -0.5, 1.5):
         for mode in (TRAIN, EVAL):
             with pytest.raises(GraphError):
-                run_op("dropout", np.array([1.0]), keep_prob=bad, mode=mode)
+                run_op("dropout", np.array([1.0]), keep_prob=bad, key=DROPOUT_KEY, mode=mode)
 
 
 def test_flatten_row_major_and_inverse():

@@ -6,10 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import allocating_adam_step, allocating_backward, peak_alloc, scalar_adam_reference
+from conftest import allocating_adam_step, allocating_train_grads, peak_alloc, scalar_adam_reference
 from frnet import tensor
 from frnet.errors import GraphError, ShapeMismatchError
-from frnet.autodiff import TRAIN
 from frnet.models import Dense, Flatten, Input, NetworkSpec, build_frnet1, build_frnet2, compile_model
 from frnet.optim import AdamState, adam_step, bce_loss
 from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor
@@ -276,10 +275,7 @@ def test_training_in_place_matches_the_allocating_path(kind):
         x = rng.random((6, h, w, 1), dtype=np.float32)
         y = (rng.random((6, out_width)) < 0.5).astype(np.float32)
         _, _, grads = model.train_step_grads(x, y, dropout_seed=step)
-        ref.graph.forward({ref.input_id: Tensor(x), ref.target_id: Tensor(y)}, mode=TRAIN,
-                          dropout_seed=step, outputs=[ref.loss_id])
-        by_id = allocating_backward(ref.graph, ref.loss_id)
-        ref_grads = {name: Tensor(by_id[i]) for name, i in ref.param_ids.items()}
+        ref_grads = {name: Tensor(d) for name, d in allocating_train_grads(ref, x, y, step).items()}
         for name in params:
             assert grads[name].data.tobytes() == ref_grads[name].data.tobytes(), (step, name)
         params = adam_step(params, grads, state)
