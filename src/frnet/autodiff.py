@@ -28,20 +28,19 @@ class OpDef:
     """Forward kernel and backward rule for one operator kind.
 
     forward(args, attrs, ctx) -> (output array, saved context)
-    backward(grad, args, out, saved, attrs) -> per-input gradient arrays
-    (None for inputs the op never differentiates through).
+    backward(grad, args, out, saved, attrs, bufs=None) -> per-input gradient
+    arrays (None for inputs the op never differentiates through).
 
     Each gradient a backward rule returns is either `grad` or a view of it,
     or an array the rule allocated itself; never an argument, the output or
     saved context.
 
-    A kind registered with `writes_bufs=True` also accepts
-    backward(..., bufs=buffers): one entry per input, the gradient buffer of
-    a parameter input whose first term this is (and which appears once among
-    the inputs), else None. A buffer is C-contiguous, writeable and has the
-    input's shape and dtype. The rule may write that input's gradient into
-    it and return the buffer itself; a term it returns in a fresh array
-    instead is copied into the buffer by the graph.
+    Every rule must accept `bufs`, and may ignore it. It has one entry per
+    input: the gradient buffer of a parameter input whose first term this is
+    (and which appears once among the inputs), else None. A buffer is
+    C-contiguous, writeable and of the input's shape and dtype. The rule may
+    write that input's gradient into it and return the buffer itself; a
+    fresh array it returns instead is copied into the buffer by the graph.
     """
 
     forward: Callable
@@ -49,17 +48,12 @@ class OpDef:
 
 
 _REGISTRY: dict[str, OpDef] = {}
-# Kinds whose backward rule accepts `bufs=`. Kept by kind, apart from the
-# OpDef, so a registry entry rebuilt around wrapped kernels keeps it.
-_WRITES_BUFS: set[str] = set()
 
 
-def register_op(kind: str, forward: Callable, backward: Callable, writes_bufs: bool = False) -> None:
+def register_op(kind: str, forward: Callable, backward: Callable) -> None:
     if kind in _REGISTRY:
         raise ValueError(f"operator kind {kind!r} already registered")
     _REGISTRY[kind] = OpDef(forward, backward)
-    if writes_bufs:
-        _WRITES_BUFS.add(kind)
 
 
 def op_kinds() -> list[str]:
@@ -159,17 +153,6 @@ class Graph:
     def parameters(self) -> dict[str, int]:
         return {n.name: n.id for n in self.nodes if n.is_parameter}
 
-    def _ancestors(self, roots) -> set[int]:
-        seen = set()
-        stack = list(roots)
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(self.nodes[i].inputs)
-        return seen
-
     def forward(
         self,
         feeds: dict[int, Tensor],
@@ -197,7 +180,10 @@ class Graph:
                 if not (isinstance(i, (int, np.integer)) and 0 <= i < len(self.nodes)):
                     raise GraphError(f"output {i!r} is not a node of this graph")
         dtype = np.float64 if precision == "double" else np.float32
-        needed = self._ancestors(outputs) if outputs is not None else set(range(len(self.nodes)))
+        needed = set(range(len(self.nodes)) if outputs is None else outputs)
+        for node in reversed(self.nodes):  # inputs precede their consumers
+            if node.id in needed:
+                needed.update(node.inputs)
         ctx = RunCtx(mode=mode, dropout_seed=dropout_seed)
         values: dict[int, np.ndarray] = {}
         saved: dict[int, object] = {}
@@ -226,15 +212,16 @@ class Graph:
 
         Returns the gradient tensor for every parameter node (zeros for
         parameters the loss does not depend on), read-only and uncopied.
-        Requires a prior forward pass that computed the loss node.
+        Requires a prior forward pass that computed the loss node; the walk
+        visits only nodes holding an adjoint, which are ancestors of the loss.
 
         Each parameter's gradient is its graph-owned buffer, so the returned
         tensors share storage with the buffers and the next backward pass
-        overwrites them: copy one to keep it. A kind registered with
-        `writes_bufs` is handed the buffers of its parameter inputs as
-        `bufs=` and writes its term there (the conv2d and matmul weight
-        gradients, the conv2d and bias_add bias gradients); any other first
-        term of a parameter is copied into its buffer.
+        overwrites them: copy one to keep it. Every backward rule is handed
+        the buffers of its parameter inputs as `bufs=`, and may write its
+        term there (conv2d and matmul write the weight gradients, conv2d and
+        bias_add the bias gradients); any other first term of a parameter is
+        copied into its buffer.
 
         A parameter with several consumers sums their terms into its buffer
         in place, with `np.add(buf, g, out=buf)` (the same bits as `buf + g`).
@@ -246,22 +233,18 @@ class Graph:
         if loss.size != 1:
             raise GraphError(f"loss node must be scalar, got shape {loss.shape}")
         adjoints: dict[int, np.ndarray] = {loss_id: np.ones_like(loss)}
-        needed = self._ancestors([loss_id])
         for node in reversed(self.nodes):
-            if node.id not in needed or node.id not in adjoints or not node.inputs:
+            if node.id not in adjoints or not node.inputs:
                 continue
             grad, args = adjoints[node.id], [self._values[i] for i in node.inputs]
-            extra = {}
-            bufs = (None,) * len(node.inputs)
-            if node.op in _WRITES_BUFS:
-                bufs = extra["bufs"] = tuple(
-                    self._grad_buffer(i, x.shape, x.dtype)
-                    if self.nodes[i].is_parameter and i not in adjoints and node.inputs.count(i) == 1
-                    else None
-                    for i, x in zip(node.inputs, args)
-                )
+            bufs = tuple(
+                self._grad_buffer(i, x.shape, x.dtype)
+                if self.nodes[i].is_parameter and i not in adjoints and node.inputs.count(i) == 1
+                else None
+                for i, x in zip(node.inputs, args)
+            )
             in_grads = _REGISTRY[node.op].backward(
-                grad, args, self._values[node.id], self._saved.get(node.id), node.attrs, **extra
+                grad, args, self._values[node.id], self._saved.get(node.id), node.attrs, bufs=bufs
             )
             for inp, g, buf in zip(node.inputs, in_grads, bufs):
                 if g is None:

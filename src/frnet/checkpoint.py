@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
+from .data import atomic_write
 from .errors import CheckpointError, FrnetError
 
 MAGIC = b"FRNT"
@@ -81,7 +82,7 @@ def _f32(a: np.ndarray) -> np.ndarray:
 
 
 def save(state: ModelState, path: str) -> None:
-    """Write the checkpoint atomically (temp file + rename)."""
+    """Write the checkpoint atomically (`data.atomic_write`)."""
     _validate_against_spec(state)
     param_names = list(state.params)
     header = {
@@ -108,20 +109,11 @@ def save(state: ModelState, path: str) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little")
     hasher = hashlib.sha256()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            for part in (prefix, header_bytes, *(memoryview(a) for a in sections)):
-                hasher.update(part)
-                fh.write(part)
-            fh.write(hasher.digest()[:8])
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        for part in (prefix, header_bytes, *(memoryview(a) for a in sections)):
+            hasher.update(part)
+            fh.write(part)
+        fh.write(hasher.digest()[:8])
 
 
 def _is_int(x) -> bool:

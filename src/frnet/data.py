@@ -5,9 +5,12 @@ Two input formats are accepted (documented in the README): delimited text
 columns, and sparse index:value rows. The extracted-feature file written
 between the two training stages is the delimited form with ids, rendered
 with %.9g so 32-bit values survive the text round trip bit-exactly.
+`atomic_write` writes that file, the checkpoints and the run report whole.
 """
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,10 +347,29 @@ def make_folds(d: Dataset, k: int = 5, seed: int = 0, stratified: bool = True) -
 _F32_FMT = "%.9g"  # shortest decimal form that round-trips any float32
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Yield a file open for writing (UTF-8 text, or bytes) that replaces `path` on exit.
+
+    It is a temp file beside `path`, fsynced and then renamed over it, so `path`
+    is whole or absent; a failure leaves `path` as it was and removes the temp.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:  # the temp file is gone after a replace
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_feature_file(path: str, d: Dataset) -> None:
     width = d.feature_count
     header = "drug-id\ttarget-id\tlabel\t" + "\t".join(f"f{i}" for i in range(width))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         for i in range(len(d)):
             row = "\t".join(_F32_FMT % v for v in d.features[i])

@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import EVAL, TRAIN, Graph
 from .errors import ShapeMismatchError
 from .nnops import l2_penalty_grad, l2_penalty_value, same_pad
-from .rng import INIT
+from .rng import INIT, stream
 from .tensor import Tensor
 
 DEEP_FEATURES = "deep-features"
@@ -428,7 +428,7 @@ class CompiledModel:
         self.shapes, outputs, self.l2_terms, declared = _lower(spec, g)
         # In creation order, weights (rank >= 2) draw from one stream; biases,
         # and every parameter without random_init, start at zero.
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([init_seed, INIT])))
+        rng = stream(init_seed, INIT)
         for node, shape in declared.items():
             glorot = random_init and len(shape) > 1
             g.set_parameter(node, _glorot(rng, shape) if glorot else Tensor.zeros(shape))

@@ -35,11 +35,11 @@ The l2 penalty's value and gradient are `l2_penalty_value` and
 each weight's term `c * w` into that weight's gradient buffer one CHUNK at a
 time, so a weight with an l2 term gets one weight-sized gradient.
 
-conv2d, matmul and bias_add are registered with `writes_bufs`: handed a
-parameter's gradient buffer, the rule computes the weight or bias gradient
-straight into it (`np.matmul(..., out=)`, `.sum(..., out=)`, which give
-the same bytes as the allocating forms), so a training step after the first
-allocates no weight-sized gradient.
+Every backward rule accepts the graph's `bufs`. Handed a parameter's
+gradient buffer, conv2d, matmul and bias_add compute the weight or bias
+gradient straight into it (`np.matmul(..., out=)`, `.sum(..., out=)`, which
+give the same bytes as the allocating forms), so a training step after the
+first allocates no weight-sized gradient; the other rules ignore it.
 """
 
 import math
@@ -181,7 +181,7 @@ def _maxpool2d_fwd(args, attrs, ctx):
     return best, (arg, pads)
 
 
-def _maxpool2d_bwd(grad, args, out, saved, attrs):
+def _maxpool2d_bwd(grad, args, out, saved, attrs, bufs=None):
     if saved is None:  # identity pool
         return (grad,)
     (x,) = args
@@ -231,7 +231,7 @@ def _relu_fwd(args, attrs, ctx):
     return np.maximum(x, 0), None
 
 
-def _relu_bwd(grad, args, out, saved, attrs):
+def _relu_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (grad * (x > 0),)
 
@@ -246,7 +246,7 @@ def _sigmoid_fwd(args, attrs, ctx):
     return out, None
 
 
-def _sigmoid_bwd(grad, args, out, saved, attrs):
+def _sigmoid_bwd(grad, args, out, saved, attrs, bufs=None):
     return (grad * out * (1.0 - out),)
 
 
@@ -273,7 +273,7 @@ def _dropout_fwd(args, attrs, ctx):
     return x * scale, scale
 
 
-def _dropout_bwd(grad, args, out, saved, attrs):
+def _dropout_bwd(grad, args, out, saved, attrs, bufs=None):
     if saved is None:
         return (grad,)
     return (grad * saved,)
@@ -289,7 +289,7 @@ def _flatten_fwd(args, attrs, ctx):
     return x.reshape(x.shape[0], -1), None
 
 
-def _flatten_bwd(grad, args, out, saved, attrs):
+def _flatten_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (grad.reshape(x.shape),)
 
@@ -303,7 +303,7 @@ def _reshape_fwd(args, attrs, ctx):
     return x.reshape((x.shape[0],) + item), None
 
 
-def _reshape_bwd(grad, args, out, saved, attrs):
+def _reshape_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (grad.reshape(x.shape),)
 
@@ -319,7 +319,7 @@ def _concat_fwd(args, attrs, ctx):
     return np.concatenate(args, axis=3), [a.shape[3] for a in args]
 
 
-def _concat_bwd(grad, args, out, saved, attrs):
+def _concat_bwd(grad, args, out, saved, attrs, bufs=None):
     splits = np.cumsum(saved[:-1])
     return tuple(np.ascontiguousarray(g) for g in np.split(grad, splits, axis=3))
 
@@ -351,15 +351,15 @@ def _mul_fwd(args, attrs, ctx):
     return a * b, None
 
 
-def _add_bwd(grad, args, out, saved, attrs):
+def _add_bwd(grad, args, out, saved, attrs, bufs=None):
     return grad, grad
 
 
-def _sub_bwd(grad, args, out, saved, attrs):
+def _sub_bwd(grad, args, out, saved, attrs, bufs=None):
     return grad, -grad
 
 
-def _mul_bwd(grad, args, out, saved, attrs):
+def _mul_bwd(grad, args, out, saved, attrs, bufs=None):
     a, b = args
     return grad * b, grad * a
 
@@ -373,7 +373,7 @@ def _sum_fwd(args, attrs, ctx):
     return np.array([x.sum(dtype=np.float64)], dtype=x.dtype), None
 
 
-def _sum_bwd(grad, args, out, saved, attrs):
+def _sum_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (np.full(x.shape, grad[0], dtype=grad.dtype),)
 
@@ -383,7 +383,7 @@ def _mean_fwd(args, attrs, ctx):
     return np.array([x.mean(dtype=np.float64)], dtype=x.dtype), None
 
 
-def _mean_bwd(grad, args, out, saved, attrs):
+def _mean_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (np.full(x.shape, grad[0] / x.size, dtype=grad.dtype),)
 
@@ -403,7 +403,7 @@ def _bce_fwd(args, attrs, ctx):
     return np.array([loss], dtype=pred.dtype), (pc, inside)
 
 
-def _bce_bwd(grad, args, out, saved, attrs):
+def _bce_bwd(grad, args, out, saved, attrs, bufs=None):
     pred, target = args
     pc, inside = saved
     n = pred.size
@@ -449,14 +449,14 @@ def _l2_penalty_fwd(args, attrs, ctx):
     return l2_penalty_value(args[0], attrs["scale"]), None
 
 
-def _l2_penalty_bwd(grad, args, out, saved, attrs):
+def _l2_penalty_bwd(grad, args, out, saved, attrs, bufs=None):
     return (l2_penalty_grad(args[0], attrs["scale"], grad[0]),)
 
 
-register_op("conv2d", _conv2d_fwd, _conv2d_bwd, writes_bufs=True)
+register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
 register_op("maxpool2d", _maxpool2d_fwd, _maxpool2d_bwd)
-register_op("matmul", _matmul_fwd, _matmul_bwd, writes_bufs=True)
-register_op("bias_add", _bias_add_fwd, _bias_add_bwd, writes_bufs=True)
+register_op("matmul", _matmul_fwd, _matmul_bwd)
+register_op("bias_add", _bias_add_fwd, _bias_add_bwd)
 register_op("relu", _relu_fwd, _relu_bwd)
 register_op("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 register_op("dropout", _dropout_fwd, _dropout_bwd)

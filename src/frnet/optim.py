@@ -1,14 +1,16 @@
 """Adam optimizer and the binary cross-entropy loss as a plain function.
 
-Adam keeps its moments and a master copy of each parameter in float64 so
-that its state tracks a 64-bit scalar reference to within rounding; the
-parameters the network reads are float32, matching the tensor contract. Each
-step overwrites m, v, the masters and the float32 parameters in place, in
-flat chunks, so it builds no full-size temporary. Defaults: lr 0.001, beta1
-0.9, beta2 0.999, epsilon 1e-8.
+Adam keeps its moments and a master copy of the parameters in float64, as
+three flat vectors over every parameter, so that its state tracks a 64-bit
+scalar reference to within rounding; the parameters the network reads are
+float32, matching the tensor contract. Each step overwrites the state and
+the parameters in place, in flat chunks, so it builds no full-size
+temporary. Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8.
 """
 
-import functools
+import bisect
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +22,13 @@ from .tensor import CHUNK, Tensor, run_chunked
 
 @dataclass
 class AdamState:
-    """Adam's hyperparameters, step count and per-parameter float64 state.
+    """Adam's hyperparameters, step count and flat float64 state.
 
-    The state owns m, v and master, and `adam_step` overwrites them in place
-    on every step: copy one to keep an earlier step's values. The parameter
-    tensors stay with their owner (the model); `init` copies their values.
+    `layout` holds each parameter's name and shape, in `init` order, and m,
+    v and master hold every parameter's elements back to back in that order.
+    `adam_step` overwrites them in place: copy one to keep an earlier step's
+    values. The parameters stay with their owner (the model); `init` copies
+    their values.
     """
 
     lr: float = 0.001
@@ -32,18 +36,16 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    master: dict[str, np.ndarray] = field(default_factory=dict)
+    layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    master: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def init(cls, params: dict[str, Tensor], lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-        for name, p in params.items():
-            state.m[name] = np.zeros(p.shape, dtype=np.float64)
-            state.v[name] = np.zeros(p.shape, dtype=np.float64)
-            state.master[name] = p.data.astype(np.float64)
-        return state
+        master = np.concatenate([p.data.reshape(-1) for p in params.values()] or [[]], dtype=np.float64)
+        return cls(lr, beta1, beta2, epsilon, layout=tuple((name, p.shape) for name, p in params.items()),
+                   m=np.zeros(master.size), v=np.zeros(master.size), master=master)
 
 
 def _unlock(a: np.ndarray) -> bool:
@@ -65,51 +67,45 @@ def adam_step(
     The returned tensors are the ones handed in: each parameter's array is
     overwritten with its new float32 values, so every holder of those
     tensors (the model's graph included) sees the update. `params` must be
-    the tensors the state was initialized from or last updated. All names
-    and shapes are checked, and every parameter array must be float32 and
-    writeable in place (one that owns its memory, or a view of writeable
-    memory), before anything changes, so a rejected call leaves the state
-    and the parameters untouched. The arrays are read-only again on return.
+    the tensors the state was initialized from or last updated. The names
+    and shapes of `params` (in any order) and of `grads` must each equal the
+    state's layout, and every parameter must be a float32 array writeable in
+    place (one that owns its memory, or a view of writeable memory). All of
+    it is checked before anything changes, so a rejected call leaves the
+    state and the parameters untouched. The arrays are read-only again on
+    return.
 
-    Updates run in place over CHUNK elements at a time, and `run_chunked`
-    splits a large parameter's range over two threads; every operation is
-    elementwise, so neither changes a bit. Each chunk of the masters is
-    rounded to float32 once, into the parameter, while it is still in
-    cache. The chunks go through one pair of CHUNK-sized float64 scratch
-    buffers per range piece, allocated once per step and shared by every
-    parameter.
+    One `run_chunked` call covers the flat state, CHUNK elements at a time,
+    split over two threads when large; every operation is elementwise, so
+    neither changes a bit. A chunk copies the gradients of the parameters it
+    spans into float64 scratch (one CHUNK-sized pair per thread), updates
+    m, v and the masters, and rounds the masters to float32 into those
+    parameters while they are still in cache.
     """
-    if not set(params) == set(grads) == set(state.m) == set(state.v) == set(state.master):
-        raise ShapeMismatchError("adam_step: names of params, grads and optimizer state differ")
-    for name, p in params.items():
-        shapes = (grads[name].shape,) + tuple(d[name].shape for d in (state.m, state.v, state.master))
-        if any(shape != p.shape for shape in shapes):
-            raise ShapeMismatchError(f"adam_step: {name}: param {p.shape}, grad/m/v/master {shapes}")
-    unlocked = []
-    for name, p in params.items():
-        if not _unlock(p.data):
-            for a in unlocked:
-                a.flags.writeable = False
-            raise ShapeMismatchError(f"adam_step: {name}: not a float32 array it can write in place")
-        unlocked.append(p.data)
-    state.t += 1
-    t = state.t
+    want = dict(state.layout)
+    for what, d in (("params", params), ("grads", grads)):
+        if {name: x.shape for name, x in d.items()} != want:
+            raise ShapeMismatchError(f"adam_step: names or shapes of {what} differ from the optimizer state")
+    starts = [0, *itertools.accumulate(math.prod(shape) for shape in want.values())]
+    n = starts[-1]
+    if any(a.shape != (n,) or a.dtype != np.float64 for a in (state.m, state.v, state.master)):
+        raise ShapeMismatchError(f"adam_step: the optimizer state is not three float64 vectors of {n}")
+    arrays, gs = [params[k].data for k in want], [grads[k].data.reshape(-1) for k in want]
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    # run_chunked's lower piece starts at 0, its upper piece elsewhere: one scratch pair each
+    scratch = [(np.empty(min(CHUNK, n)), np.empty(min(CHUNK, n))) for _ in range(2)]
 
-    # run_chunked's lower piece starts at 0 and runs on this thread, its
-    # upper piece (if any) on the helper thread: one scratch pair each
-    width = min(CHUNK, max((p.size for p in params.values()), default=1))
-    scratch = [(np.empty(width), np.empty(width)) for _ in range(2)]
-
-    def update(g, m, v, w, w32, lo, hi):
+    def update(lo, hi):
         buf_g, buf_a = scratch[int(lo > 0)]
         for s in range(lo, hi, CHUNK):
-            k = min(CHUNK, hi - s)
-            gc, a = buf_g[:k], buf_a[:k]
-            mc, vc, wc = m[s : s + k], v[s : s + k], w[s : s + k]
-            np.copyto(gc, g[s : s + k])
+            e = min(s + CHUNK, hi)
+            gc, a = buf_g[: e - s], buf_a[: e - s]
+            mc, vc, wc = state.m[s:e], state.v[s:e], state.master[s:e]
+            # each parameter the chunk spans, with the flat range [p, q) it covers
+            parts = [(j, max(s, starts[j]), min(e, starts[j + 1]))
+                     for j in range(bisect.bisect_right(starts, s) - 1, bisect.bisect_left(starts, e))]
+            for j, p, q in parts:
+                np.copyto(gc[p - s : q - s], gs[j][p - starts[j] : q - starts[j]])
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
             np.multiply(mc, b1, out=mc)
             np.add(mc, np.multiply(gc, 1.0 - b1, out=a), out=mc)
@@ -120,17 +116,19 @@ def adam_step(
             np.add(np.sqrt(np.divide(vc, bc2, out=gc), out=gc), eps, out=gc)
             np.multiply(np.divide(mc, bc1, out=a), lr, out=a)
             np.subtract(wc, np.divide(a, gc, out=a), out=wc)
-            np.copyto(w32[s : s + k], wc, casting="same_kind")
+            for j, p, q in parts:
+                np.copyto(ws[j][p - starts[j] : q - starts[j]], wc[p - s : q - s], casting="same_kind")
 
     try:
-        for name, p in params.items():
-            for slot in (state.m, state.v, state.master):
-                slot[name] = np.require(slot[name], np.float64, ["C", "W"])
-            g = grads[name].data.reshape(-1)
-            m, v, w = (slot[name].reshape(-1) for slot in (state.m, state.v, state.master))
-            run_chunked(g.size, functools.partial(update, g, m, v, w, p.data.reshape(-1)))
+        for name, a in zip(want, arrays):
+            if not _unlock(a):
+                raise ShapeMismatchError(f"adam_step: {name}: not a float32 array it can write in place")
+        ws = [a.reshape(-1) for a in arrays]  # views made after the unlock are writeable
+        state.t += 1
+        bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+        run_chunked(n, update)
     finally:
-        for a in unlocked:
+        for a in arrays:
             a.flags.writeable = False
     return params
 

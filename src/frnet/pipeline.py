@@ -33,6 +33,7 @@ from .data import (
     apply_scaling,
     as_images,
     as_square_images,
+    atomic_write,
     dataset_stats,
     fit_scaling,
     load_dataset,
@@ -516,17 +517,9 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
         "curve_files": curve_files,
         "checkpoint_files": ckpt_files,
     }
-    report_path = os.path.join(cfg.out_dir, "report.json")
-    tmp = f"{report_path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report_dict, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp, report_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(os.path.join(cfg.out_dir, "report.json")) as fh:
+        json.dump(report_dict, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return report, report_dict
 
 

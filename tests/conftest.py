@@ -4,6 +4,7 @@ and Adam update kept as bitwise references, and the settings of the fuzz
 tests."""
 
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import settings
@@ -158,9 +159,37 @@ def allocating_train_grads(model, x, y, dropout_seed):
     return grads
 
 
+@dataclass
+class ReferenceAdamState:
+    """Per-name float64 Adam state of `allocating_adam_step`."""
+
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    master: dict = field(default_factory=dict)
+
+    @classmethod
+    def init(cls, params, lr=0.001):
+        state = cls(lr=lr)
+        for name, p in params.items():
+            state.m[name] = np.zeros(p.shape)
+            state.v[name] = np.zeros(p.shape)
+            state.master[name] = p.data.astype(np.float64)
+        return state
+
+    def flat(self, slot, layout):
+        """One slot's arrays back to back, in the order of an AdamState's layout."""
+        return np.concatenate([getattr(self, slot)[name].reshape(-1) for name, _ in layout])
+
+
 def allocating_adam_step(params, grads, state):
     """The Adam update adam_step replaced, kept as its bitwise reference: it
-    builds every temporary and returns new float32 parameter tensors."""
+    builds every temporary, keeps its state per name (a ReferenceAdamState)
+    and returns new float32 parameter tensors."""
     state.t += 1
     t = state.t
     bc1 = 1.0 - state.beta1**t

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import allocating_backward, allocating_train_grads, peak_alloc
-from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, OpDef, op_kinds
+from frnet import autodiff
+from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph, OpDef, op_kinds, register_op
 from frnet.errors import GraphError
 from frnet.models import Conv, Dense, Flatten, Input, NetworkSpec, compile_model
 from frnet.tensor import Tensor
@@ -215,6 +216,32 @@ def test_registry_covers_operator_set():
         "reduce_sum", "reduce_mean", "bce", "l2_penalty",
     }
     assert expected <= set(op_kinds())
+
+
+def test_a_plainly_registered_kind_is_handed_its_parameter_buffers(monkeypatch):
+    # scale(x, w) = x * w, registered with no flag: its backward still gets
+    # w's gradient buffer as `bufs` and may write w's gradient into it
+    monkeypatch.setattr(autodiff, "_REGISTRY", dict(_REGISTRY))
+    handed = []
+
+    def fwd(args, attrs, ctx):
+        return args[0] * args[1], None
+
+    def bwd(grad, args, out, saved, attrs, bufs=None):
+        handed.append(bufs)
+        return grad * args[1], np.multiply(grad, args[0], out=bufs[1])
+
+    register_op("scale", fwd, bwd)
+    g = Graph()
+    x = g.placeholder("x")
+    w = g.parameter("w", Tensor([1.5, -2.0, 0.25]))
+    loss = g.apply("reduce_sum", [g.apply("scale", [x, w])])
+    for step in range(2):
+        g.forward({x: Tensor([3.0, 4.0, 5.0 + step])}, outputs=[loss])
+        dw = g.backward(loss)[w]
+        assert handed[step][0] is None and np.shares_memory(handed[step][1], dw.data)
+        assert dw.tolist() == [3.0, 4.0, 5.0 + step]
+    assert np.shares_memory(handed[0][1], handed[1][1])
 
 
 def test_double_precision_path_casts_feeds_and_params():

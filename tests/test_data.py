@@ -1,5 +1,7 @@
 """Dataset parsing, scaling, padding, fold assignment, feature files."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from frnet.data import (
     apply_scaling,
     as_images,
     as_square_images,
+    atomic_write,
     dataset_stats,
     fit_scaling,
     imbalance_ratio,
@@ -23,6 +26,7 @@ from frnet.data import (
     subset,
     write_feature_file,
 )
+from frnet import data
 from frnet.errors import DataError, ShapeMismatchError
 
 
@@ -394,6 +398,40 @@ def test_feature_file_round_trip_is_bitwise(tmp_path):
     assert back.features.tobytes() == d.features.tobytes()
     assert back.labels.tolist() == d.labels.tolist()
     assert back.drug_ids == d.drug_ids and back.target_ids == d.target_ids
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(str(path)) as fh:
+            fh.write("new and partial")
+            raise OSError("disk full")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_an_interrupted_feature_file_write_leaves_the_old_file(tmp_path, monkeypatch):
+    # the rows written before the failure never reach the target, so no
+    # truncated file that happens to end on a line boundary can load
+    d = _dataset(20, 5, width=6)
+    path = str(tmp_path / "features.tsv")
+    write_feature_file(path, d)
+    before = open(path, "rb").read()
+    calls = []
+
+    class FailingFormat(str):
+        def __mod__(self, v):
+            calls.append(v)
+            if len(calls) > 30:  # in the sixth row
+                raise OSError("disk full")
+            return str.__mod__(self, v)
+
+    monkeypatch.setattr(data, "_F32_FMT", FailingFormat(data._F32_FMT))
+    with pytest.raises(OSError, match="disk full"):
+        write_feature_file(path, _dataset(20, 5, width=6, seed=1))
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["features.tsv"]
 
 
 # ---------------------------------------------------------------------------

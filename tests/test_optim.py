@@ -1,12 +1,19 @@
 """Adam updates, binary cross-entropy, and loss composition."""
 
+import dataclasses
 import math
 import threading
 
 import numpy as np
 import pytest
 
-from conftest import allocating_adam_step, allocating_train_grads, peak_alloc, scalar_adam_reference
+from conftest import (
+    ReferenceAdamState,
+    allocating_adam_step,
+    allocating_train_grads,
+    peak_alloc,
+    scalar_adam_reference,
+)
 from frnet import tensor
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import Dense, Flatten, Input, NetworkSpec, build_frnet1, build_frnet2, compile_model
@@ -18,7 +25,8 @@ def test_state_init_matches_parameter_shapes():
     params = {"w": Tensor.zeros((3, 2)), "b": Tensor.zeros((2,))}
     state = AdamState.init(params)
     assert state.t == 0
-    assert state.m["w"].shape == (3, 2) and state.v["b"].shape == (2,)
+    assert state.layout == (("w", (3, 2)), ("b", (2,)))
+    assert all(a.shape == (8,) and a.dtype == np.float64 for a in (state.m, state.v, state.master))
     assert state.lr == 0.001 and state.beta1 == 0.9
     assert state.beta2 == 0.999 and state.epsilon == 1e-8
 
@@ -105,7 +113,7 @@ def test_chunked_adam_is_bitwise_equal_to_allocating_formula(shape):
     rng = np.random.default_rng(2024)
     params = {"w": Tensor(rng.standard_normal(shape).astype(np.float32)), "b": Tensor([0.5, -1.5])}
     got_state = AdamState.init(params, lr=0.01)
-    ref_state = AdamState.init(params, lr=0.01)
+    ref_state = ReferenceAdamState.init(params, lr=0.01)
     got = ref = params
     for step in range(20):
         scale = 10.0 ** (step % 7 - 3)  # gradients spanning many binades
@@ -115,19 +123,20 @@ def test_chunked_adam_is_bitwise_equal_to_allocating_formula(shape):
         }
         got = adam_step(got, grads, got_state)
         ref = allocating_adam_step(ref, grads, ref_state)
-        for name in params:
-            assert got[name].data.tobytes() == ref[name].data.tobytes()
-            for slot in ("m", "v", "master"):
-                a, b = getattr(got_state, slot)[name], getattr(ref_state, slot)[name]
-                assert a.tobytes() == b.tobytes()
+        _assert_bitwise_equal(got, got_state, ref, ref_state)
     assert got_state.t == ref_state.t == 20
 
 
+def _assert_bitwise_equal(got, got_state, ref, ref_state):
+    # parameters by name; m, v and master flattened in the state's layout order
+    for name in ref:
+        assert got[name].data.tobytes() == ref[name].data.tobytes(), name
+    for slot in ("m", "v", "master"):
+        assert getattr(got_state, slot).tobytes() == ref_state.flat(slot, got_state.layout).tobytes()
+
+
 def _snapshot(state):
-    return state.t, {
-        slot: {n: a.tobytes() for n, a in getattr(state, slot).items()}
-        for slot in ("m", "v", "master")
-    }
+    return state.t, {slot: getattr(state, slot).tobytes() for slot in ("m", "v", "master")}
 
 
 def test_rejected_adam_step_leaves_state_untouched():
@@ -152,6 +161,11 @@ def test_rejected_adam_step_leaves_state_untouched():
     with pytest.raises(ShapeMismatchError):
         adam_step({**params, "z": Tensor([1.0, 2.0])}, good, state)
     assert snapshot() == before
+    # a state whose vectors do not match its layout
+    short = dataclasses.replace(state, v=state.v[:-1])
+    with pytest.raises(ShapeMismatchError, match="not three float64 vectors of 4"):
+        adam_step(params, good, short)
+    assert snapshot() == before and short.t == state.t
     # a later parameter that cannot be written in place as float32: read-only
     # memory, or float64
     frozen = np.frombuffer(params["z"].data.tobytes(), dtype=np.float32).reshape(2, 1)
@@ -162,25 +176,20 @@ def test_rejected_adam_step_leaves_state_untouched():
         assert not params["a"].data.flags.writeable
 
 
-def _adam_against_reference(n, steps, seed):
+def _adam_against_reference(n, steps, seed, shapes=None):
     rng = np.random.default_rng(seed)
-    params = {"w": Tensor(rng.standard_normal(n).astype(np.float32)), "b": Tensor([0.5, -1.5])}
+    shapes = shapes or {"w": (n,), "b": (2,)}
+    params = {name: Tensor(rng.standard_normal(s).astype(np.float32)) for name, s in shapes.items()}
     got_state = AdamState.init(params, lr=0.01)
-    ref_state = AdamState.init(params, lr=0.01)
+    ref_state = ReferenceAdamState.init(params, lr=0.01)
     got = ref = params
     for step in range(steps):
         scale = 10.0 ** (step % 5 - 2)
-        grads = {
-            "w": Tensor((scale * rng.standard_normal(n)).astype(np.float32)),
-            "b": Tensor((scale * rng.standard_normal(2)).astype(np.float32)),
-        }
+        grads = {name: Tensor((scale * rng.standard_normal(s)).astype(np.float32))
+                 for name, s in shapes.items()}
         got = adam_step(got, grads, got_state)
         ref = allocating_adam_step(ref, grads, ref_state)
-        for name in params:
-            assert got[name].data.tobytes() == ref[name].data.tobytes()
-            for slot in ("m", "v", "master"):
-                a, b = getattr(got_state, slot)[name], getattr(ref_state, slot)[name]
-                assert a.tobytes() == b.tobytes()
+        _assert_bitwise_equal(got, got_state, ref, ref_state)
 
 
 @pytest.fixture
@@ -204,8 +213,39 @@ def helper_threads(monkeypatch):
     ids=["below-threshold", "at-threshold", "above-threshold", "17C-1", "17C+1", "23C+3"],
 )
 def test_threaded_adam_is_bitwise_equal_to_allocating_formula(n, helper_threads):
+    # the range is the model's total, the 2-element bias included
     _adam_against_reference(n, steps=4, seed=n)
-    assert len(helper_threads) == (0 if n < PARALLEL_MIN else 4)
+    assert len(helper_threads) == (0 if n + 2 < PARALLEL_MIN else 4)
+
+
+def test_small_parameters_straddling_chunks_and_the_split_stay_bitwise_equal(helper_threads):
+    # no parameter reaches PARALLEL_MIN, but together they do: chunks and the
+    # two-thread split point fall inside parameters and between them
+    shapes = {"a": (CHUNK - 3,), "b": (7,), "c": (5, CHUNK // 4 + 1), "d": (1,),
+              "e": (3, CHUNK // 2 + 7), "f": (8 * CHUNK + 5,), "g": (2,), "h": (3, 2 * CHUNK + 1)}
+    total = sum(math.prod(s) for s in shapes.values())
+    assert max(math.prod(s) for s in shapes.values()) < PARALLEL_MIN <= total
+    mid = (total + CHUNK) // (2 * CHUNK) * CHUNK
+    starts = np.cumsum([0] + [math.prod(s) for s in shapes.values()])
+    assert mid not in starts and mid % CHUNK == 0  # the split falls inside a parameter
+    _adam_against_reference(0, steps=5, seed=61, shapes=shapes)
+    assert len(helper_threads) == 5
+
+
+def test_params_in_another_order_are_updated_by_name():
+    rng = np.random.default_rng(62)
+    shapes = {"w": (4, 3), "b": (3,), "k": (2, 2, 1, 5)}
+    params = {name: Tensor(rng.standard_normal(s).astype(np.float32)) for name, s in shapes.items()}
+    state = AdamState.init(params, lr=0.01)
+    ref_state = ReferenceAdamState.init(params, lr=0.01)
+    ref = params
+    got = {name: params[name] for name in reversed(shapes)}
+    for _ in range(3):
+        grads = {name: Tensor(rng.standard_normal(s).astype(np.float32)) for name, s in shapes.items()}
+        got = adam_step(got, {name: grads[name] for name in ("b", "k", "w")}, state)
+        ref = allocating_adam_step(ref, grads, ref_state)
+        _assert_bitwise_equal(got, state, ref, ref_state)
+    assert state.layout == tuple(shapes.items())
 
 
 def test_adam_on_one_cpu_runs_on_the_calling_thread(monkeypatch, helper_threads):
@@ -267,7 +307,7 @@ def test_training_in_place_matches_the_allocating_path(kind):
     spec = _small_specs()[kind]
     model, ref = compile_model(spec, init_seed=3), compile_model(spec, init_seed=3)
     params, ref_params = model.params(), ref.params()
-    state, ref_state = AdamState.init(params, lr=0.01), AdamState.init(ref_params, lr=0.01)
+    state, ref_state = AdamState.init(params, lr=0.01), ReferenceAdamState.init(ref_params, lr=0.01)
     rng = np.random.default_rng(9)
     h, w, _ = model.shapes[spec.input_layer.name]
     out_width = model.shapes[spec.output_layer.name][0]

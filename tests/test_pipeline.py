@@ -837,3 +837,21 @@ class TestReport:
         with pytest.raises(OSError, match="disk full"):
             cmd_cv_run(tiny_cfg(tmp_path, epochs_ae=0, epochs_clf=0), dataset=blobs48)
         assert [f for f in os.listdir(tmp_path) if f.startswith("report.json")] == []
+
+    def test_report_is_fsynced_before_it_is_renamed(self, tmp_path, blobs48, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cmd_cv_run(tiny_cfg(tmp_path, epochs_ae=0, epochs_clf=0), dataset=blobs48)
+        [i] = [i for i, e in enumerate(events) if e[0] == "replace" and e[2] == "report.json"]
+        assert events[i - 1] == ("fsync", events[i][1])
