@@ -6,9 +6,10 @@ forward pass evaluates nodes in creation order and a backward pass walks
 them in reverse. Operator kinds live in a registry; `nnops` registers the
 full neural operator set on import.
 
-Forward runs at float32 by default. `precision="double"` evaluates the
-same graph in float64, the shadow path used by gradient checks, where
-32-bit rounding would drown the finite-difference signal.
+Forward runs at the dtype of the tensors it holds and is fed: float32 on
+every model path, float64 in the gradient checks, which build float64
+parameters and feeds because 32-bit rounding would drown the
+finite-difference signal.
 """
 
 from dataclasses import dataclass, field
@@ -97,8 +98,8 @@ class Graph:
     def _grad_buffer(self, node_id: int, shape, dtype) -> np.ndarray:
         """Parameter `node_id`'s gradient buffer, writeable, of `shape` and `dtype`.
 
-        A buffer of another shape or dtype (as on the float64 shadow pass) is
-        replaced, not reused.
+        A buffer of another shape or dtype (as after a float64 parameter
+        replaces a float32 one) is replaced, not reused.
         """
         buf = self._grad_bufs.get(node_id)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
@@ -131,7 +132,7 @@ class Graph:
         return self._add("input", (), {}, name)
 
     def parameter(self, name: str, value: Tensor | None) -> int:
-        """Trainable leaf holding a float32 tensor; None leaves it for set_parameter."""
+        """Trainable leaf holding a tensor; None leaves it for set_parameter."""
         return self._add("param", (), {}, name, is_parameter=True, value=value)
 
     def apply(self, kind: str, inputs: list[int], name: str = "", **attrs) -> int:
@@ -159,19 +160,18 @@ class Graph:
         mode: str = EVAL,
         dropout_seed: int = 0,
         outputs: list[int] | None = None,
-        precision: str = "single",
     ) -> dict[int, Tensor]:
         """Evaluate the graph and return the values of `outputs`.
 
         feeds maps placeholder ids to tensors. Only ancestors of `outputs`
         are computed, and only the requested nodes are returned (every node
         when outputs is None). The returned tensors are read-only and share
-        storage with the graph's saved values; a later pass builds new
-        arrays, so they never change, with one exception: a parameter
-        node's float32 value is the parameter's own array, which
-        `optim.adam_step` overwrites. Eval mode makes dropout the identity;
-        in train mode masks are fully determined by dropout_seed, so
-        identical calls are bitwise identical.
+        storage with the graph's saved values (an input's or parameter's
+        value is the fed or held tensor's own array); a later pass builds
+        new arrays, so they never change, with one exception: a parameter's
+        array, which `optim.adam_step` overwrites. Eval mode makes dropout
+        the identity; in train mode masks are fully determined by
+        dropout_seed, so identical calls are bitwise identical.
         """
         if mode not in (TRAIN, EVAL):
             raise GraphError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
@@ -179,7 +179,6 @@ class Graph:
             for i in outputs:
                 if not (isinstance(i, (int, np.integer)) and 0 <= i < len(self.nodes)):
                     raise GraphError(f"output {i!r} is not a node of this graph")
-        dtype = np.float64 if precision == "double" else np.float32
         needed = set(range(len(self.nodes)) if outputs is None else outputs)
         for node in reversed(self.nodes):  # inputs precede their consumers
             if node.id in needed:
@@ -193,11 +192,11 @@ class Graph:
             if node.op == "input":
                 if node.id not in feeds:
                     raise GraphError(f"missing feed for input node {node.name!r}")
-                values[node.id] = np.asarray(feeds[node.id].data, dtype=dtype)
+                values[node.id] = feeds[node.id].data
             elif node.op == "param":
                 if node.value is None:
                     raise GraphError(f"parameter {node.name!r} has no value")
-                values[node.id] = np.asarray(node.value.data, dtype=dtype)
+                values[node.id] = node.value.data
             else:
                 args = [values[i] for i in node.inputs]
                 out, sv = _REGISTRY[node.op].forward(args, node.attrs, ctx)

@@ -7,8 +7,8 @@ The FRNET_OUT_DIR environment variable supplies the default output
 directory when neither file nor flag sets one.
 
 Exit codes: 0 success, 1 validation error (bad flags, config, or input
-files), 2 runtime failure. Warnings print as one `warning: ...` line each
-on stderr.
+files), 2 runtime failure (including running out of memory and a failed
+write). Warnings print as one `warning: ...` line each on stderr.
 """
 
 import argparse
@@ -200,8 +200,8 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FrnetError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (FrnetError, MemoryError, OSError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

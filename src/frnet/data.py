@@ -84,10 +84,10 @@ class Dataset:
         return int(self.labels.sum())
 
 
-def subset(d: Dataset, indices: np.ndarray, name: str | None = None) -> Dataset:
+def subset(d: Dataset, indices: np.ndarray) -> Dataset:
     idx = np.asarray(indices, dtype=np.int64)
     return Dataset(
-        name if name is not None else d.name,
+        d.name,
         tuple(d.drug_ids[i] for i in idx),
         tuple(d.target_ids[i] for i in idx),
         d.features[idx],
@@ -376,5 +376,5 @@ def write_feature_file(path: str, d: Dataset) -> None:
             fh.write(f"{d.drug_ids[i]}\t{d.target_ids[i]}\t{int(d.labels[i])}\t{row}\n")
 
 
-def read_feature_file(path: str, name: str = "features") -> Dataset:
-    return load_dataset(path, format=DELIMITED, name=name)
+def read_feature_file(path: str) -> Dataset:
+    return load_dataset(path, format=DELIMITED, name="features")

@@ -23,9 +23,9 @@ import numpy as np
 
 from .autodiff import EVAL, TRAIN, Graph
 from .errors import ShapeMismatchError
-from .nnops import l2_penalty_grad, l2_penalty_value, same_pad
+from .nnops import same_pad
 from .rng import INIT, stream
-from .tensor import Tensor
+from .tensor import CHUNK, Tensor
 
 DEEP_FEATURES = "deep-features"
 
@@ -436,7 +436,7 @@ class CompiledModel:
         self.output_id = outputs[spec.output_layer.name]
         self.tap_ids = {tap: outputs[lname] for tap, lname in spec.taps.items()}
         self.target_id = g.placeholder("y")
-        self.loss_id = g.apply("bce", [self.output_id, self.target_id], name="data_loss", eps=1e-7)
+        self.loss_id = g.apply("bce", [self.output_id, self.target_id], name="data_loss")
         self.param_ids = g.parameters()
 
     def params(self) -> dict[str, Tensor]:
@@ -451,8 +451,9 @@ class CompiledModel:
         vals = self.graph.forward({self.input_id: Tensor(x)}, mode=EVAL, outputs=[self.output_id])
         return vals[self.output_id].data
 
-    def tap(self, x: np.ndarray, tap_name: str = DEEP_FEATURES) -> np.ndarray:
-        node = self.tap_ids[tap_name]
+    def tap(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode activations of the DEEP_FEATURES tap."""
+        node = self.tap_ids[DEEP_FEATURES]
         vals = self.graph.forward({self.input_id: Tensor(x)}, mode=EVAL, outputs=[node])
         return vals[node].data
 
@@ -471,15 +472,45 @@ class CompiledModel:
         vals = g.forward(feeds, mode=TRAIN, dropout_seed=dropout_seed, outputs=[self.loss_id])
         data = vals[self.loss_id].data
         grads_by_id = g.backward(self.loss_id)
-        total, one = data, data.dtype.type(1.0)
+        total = data
         for w, scale in self.l2_terms:
             value, dw = g.nodes[w].value.data, grads_by_id[w].data
-            total = total + l2_penalty_value(value, scale)
+            total = total + _l2_value(value, scale)
             dw.flags.writeable = True  # the graph's own buffer, read-only to holders
-            l2_penalty_grad(value, scale, one, into=dw)
+            _add_l2_grad(value, scale, dw)
             dw.flags.writeable = False
         grads = {name: grads_by_id[i] for name, i in self.param_ids.items()}
         return float(total[0]), float(data[0]), grads
+
+
+def _l2_value(w, scale):
+    """scale * sum(w^2) as a one-element array of w's dtype.
+
+    The sum of squares is taken in float64 over flat chunks, added in chunk
+    order, so it builds no full-size float64 temporary.
+    """
+    flat, buf = w.reshape(-1), np.empty(CHUNK)
+    total = 0.0
+    for s in range(0, flat.size, CHUNK):
+        c = buf[: min(CHUNK, flat.size - s)]
+        np.copyto(c, flat[s : s + CHUNK])
+        total += np.square(c, out=c).sum()
+    return np.array([scale * total], dtype=w.dtype)
+
+
+def _add_l2_grad(w, scale, into):
+    """Add the penalty's gradient c * w into `into`, one CHUNK at a time.
+
+    c = 1.0 * 2.0 * scale in w's dtype, 1.0 being the loss adjoint. `into` is
+    C-contiguous, writeable and of w's shape and dtype; the sum goes through
+    one scratch buffer and has the bits of `into + c * w`.
+    """
+    c = w.dtype.type(1.0) * 2.0 * scale
+    flat, acc = w.reshape(-1), into.reshape(-1)
+    buf = np.empty(min(CHUNK, flat.size), dtype=into.dtype)
+    for s in range(0, flat.size, CHUNK):
+        a = acc[s : s + CHUNK]
+        np.add(a, np.multiply(flat[s : s + CHUNK], c, out=buf[: a.size]), out=a)
 
 
 def compile_model(spec: NetworkSpec, init_seed: int, random_init: bool = True) -> CompiledModel:
@@ -511,9 +542,9 @@ def eval_in_blocks(forward, x: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=0)
 
 
-def extract_features(model: CompiledModel, x: np.ndarray, tap: str = DEEP_FEATURES) -> np.ndarray:
-    """Eval-mode tap activations for every row of x, in row order."""
-    return eval_in_blocks(lambda block: model.tap(block, tap), x)
+def extract_features(model: CompiledModel, x: np.ndarray) -> np.ndarray:
+    """Eval-mode DEEP_FEATURES activations for every row of x, in row order."""
+    return eval_in_blocks(model.tap, x)
 
 
 def parameter_manifest(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:

@@ -1,9 +1,9 @@
 """Neural operators, registered with the graph engine on import.
 
 Each kind (2-D convolution, max pooling, matmul, bias add, activations,
-dropout, shape ops, elementwise arithmetic, reductions, the BCE loss and the
-l2 penalty) is one forward kernel and one backward rule. They run as graph
-nodes: build a `Graph`, `apply` the kind, and call `forward`.
+dropout, shape ops, elementwise arithmetic, reductions and the BCE loss) is
+one forward kernel and one backward rule. They run as graph nodes: build a
+`Graph`, `apply` the kind, and call `forward`.
 
 Cross-correlation convention (no kernel flip). SAME padding on each spatial
 axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
@@ -29,12 +29,6 @@ Dropout draws its mask from `(dropout_seed, key)`, where `key` is a node
 attribute: the model lowering passes the dropout layer's index in the spec,
 so a mask does not depend on where its node sits in the graph.
 
-The l2 penalty's value and gradient are `l2_penalty_value` and
-`l2_penalty_grad`. The `l2_penalty` kind runs them as a graph node, and
-`CompiledModel.train_step_grads` calls them after the backward pass, adding
-each weight's term `c * w` into that weight's gradient buffer one CHUNK at a
-time, so a weight with an l2 term gets one weight-sized gradient.
-
 Every backward rule accepts the graph's `bufs`. Handed a parameter's
 gradient buffer, conv2d, matmul and bias_add compute the weight or bias
 gradient straight into it (`np.matmul(..., out=)`, `.sum(..., out=)`, which
@@ -49,7 +43,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import TRAIN, register_op
 from .errors import GraphError, ShapeMismatchError
-from .tensor import CHUNK
+from .rng import stream
 
 
 def same_pad(extent: int, filt: int, stride: int) -> tuple[int, int, int]:
@@ -255,8 +249,7 @@ def _sigmoid_bwd(grad, args, out, saved, attrs, bufs=None):
 
 
 def _dropout_mask(shape, keep_prob, seed, key):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
-    return rng.random(shape) < keep_prob
+    return stream(seed, key).random(shape) < keep_prob
 
 
 def _dropout_fwd(args, attrs, ctx):
@@ -388,18 +381,20 @@ def _mean_bwd(grad, args, out, saved, attrs, bufs=None):
     return (np.full(x.shape, grad[0] / x.size, dtype=grad.dtype),)
 
 
+BCE_EPS = 1e-7  # predictions are clipped to [BCE_EPS, 1 - BCE_EPS] before the logs
+
+
 def _bce_fwd(args, attrs, ctx):
     pred, target = args
     _same_shape(pred, target, "bce")
     if not (np.isfinite(pred).all() and np.isfinite(target).all()):
         raise GraphError("bce: inputs must be finite")
-    eps = attrs.get("eps", 1e-7)
-    pc = np.clip(pred, eps, 1.0 - eps)
+    pc = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     loss = -np.mean(
         target.astype(np.float64) * np.log(pc, dtype=np.float64)
         + (1.0 - target.astype(np.float64)) * np.log1p(-pc.astype(np.float64))
     )
-    inside = (pred >= eps) & (pred <= 1.0 - eps)
+    inside = (pred >= BCE_EPS) & (pred <= 1.0 - BCE_EPS)
     return np.array([loss], dtype=pred.dtype), (pc, inside)
 
 
@@ -410,47 +405,6 @@ def _bce_bwd(grad, args, out, saved, attrs, bufs=None):
     dpred = grad[0] * inside * (pc - target) / (pc * (1.0 - pc) * n)
     dtarget = grad[0] * (np.log(1.0 - pc) - np.log(pc)) / n
     return dpred.astype(pred.dtype), dtarget.astype(pred.dtype)
-
-
-def l2_penalty_value(w, scale):
-    """scale * sum(w^2) as a one-element array of w's dtype.
-
-    The sum of squares is taken in float64 over flat chunks, so it builds no
-    full-size float64 temporary.
-    """
-    flat, buf = w.reshape(-1), np.empty(CHUNK)
-    total = 0.0
-    for s in range(0, flat.size, CHUNK):
-        c = buf[: min(CHUNK, flat.size - s)]
-        np.copyto(c, flat[s : s + CHUNK])
-        total += np.square(c, out=c).sum()
-    return np.array([scale * total], dtype=w.dtype)
-
-
-def l2_penalty_grad(w, scale, adjoint, into=None):
-    """The penalty's gradient times `adjoint`: c * w, with c = adjoint * 2.0 * scale.
-
-    Handed `into` (C-contiguous, writeable, of w's shape and dtype), it adds
-    c * w there one CHUNK at a time through one scratch buffer, with the bits
-    of `into + c * w`, and returns `into`. Otherwise it returns a fresh c * w.
-    """
-    c = adjoint * 2.0 * scale
-    if into is None:
-        return c * w
-    flat, acc = w.reshape(-1), into.reshape(-1)
-    buf = np.empty(min(CHUNK, flat.size), dtype=into.dtype)
-    for s in range(0, flat.size, CHUNK):
-        a = acc[s : s + CHUNK]
-        np.add(a, np.multiply(flat[s : s + CHUNK], c, out=buf[: a.size]), out=a)
-    return into
-
-
-def _l2_penalty_fwd(args, attrs, ctx):
-    return l2_penalty_value(args[0], attrs["scale"]), None
-
-
-def _l2_penalty_bwd(grad, args, out, saved, attrs, bufs=None):
-    return (l2_penalty_grad(args[0], attrs["scale"], grad[0]),)
 
 
 register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
@@ -469,5 +423,4 @@ register_op("mul", _mul_fwd, _mul_bwd)
 register_op("reduce_sum", _sum_fwd, _sum_bwd)
 register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("bce", _bce_fwd, _bce_bwd)
-register_op("l2_penalty", _l2_penalty_fwd, _l2_penalty_bwd)
 

@@ -5,7 +5,8 @@ three flat vectors over every parameter, so that its state tracks a 64-bit
 scalar reference to within rounding; the parameters the network reads are
 float32, matching the tensor contract. Each step overwrites the state and
 the parameters in place, in flat chunks, so it builds no full-size
-temporary. Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8.
+temporary. The learning rate defaults to 0.001; beta1, beta2 and epsilon are
+the published constants 0.9, 0.999 and 1e-8 (Kingma & Ba, arXiv 1412.6980).
 """
 
 import bisect
@@ -19,10 +20,12 @@ from .errors import ShapeMismatchError
 from .nnops import _bce_fwd
 from .tensor import CHUNK, Tensor, run_chunked
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    """Adam's hyperparameters, step count and flat float64 state.
+    """Adam's learning rate, step count and flat float64 state.
 
     `layout` holds each parameter's name and shape, in `init` order, and m,
     v and master hold every parameter's elements back to back in that order.
@@ -32,9 +35,6 @@ class AdamState:
     """
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -42,9 +42,9 @@ class AdamState:
     master: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def init(cls, params: dict[str, Tensor], lr=0.001):
         master = np.concatenate([p.data.reshape(-1) for p in params.values()] or [[]], dtype=np.float64)
-        return cls(lr, beta1, beta2, epsilon, layout=tuple((name, p.shape) for name, p in params.items()),
+        return cls(lr, layout=tuple((name, p.shape) for name, p in params.items()),
                    m=np.zeros(master.size), v=np.zeros(master.size), master=master)
 
 
@@ -91,7 +91,6 @@ def adam_step(
     if any(a.shape != (n,) or a.dtype != np.float64 for a in (state.m, state.v, state.master)):
         raise ShapeMismatchError(f"adam_step: the optimizer state is not three float64 vectors of {n}")
     arrays, gs = [params[k].data for k in want], [grads[k].data.reshape(-1) for k in want]
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
     # run_chunked's lower piece starts at 0, its upper piece elsewhere: one scratch pair each
     scratch = [(np.empty(min(CHUNK, n)), np.empty(min(CHUNK, n))) for _ in range(2)]
 
@@ -106,15 +105,15 @@ def adam_step(
                      for j in range(bisect.bisect_right(starts, s) - 1, bisect.bisect_left(starts, e))]
             for j, p, q in parts:
                 np.copyto(gc[p - s : q - s], gs[j][p - starts[j] : q - starts[j]])
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
-            np.multiply(mc, b1, out=mc)
-            np.add(mc, np.multiply(gc, 1.0 - b1, out=a), out=mc)
-            np.multiply(vc, b2, out=vc)
-            np.multiply(np.square(gc, out=gc), 1.0 - b2, out=gc)
+            # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g^2
+            np.multiply(mc, BETA1, out=mc)
+            np.add(mc, np.multiply(gc, 1.0 - BETA1, out=a), out=mc)
+            np.multiply(vc, BETA2, out=vc)
+            np.multiply(np.square(gc, out=gc), 1.0 - BETA2, out=gc)
             np.add(vc, gc, out=vc)
             # master -= (lr * m/bc1) / (sqrt(v/bc2) + eps)
-            np.add(np.sqrt(np.divide(vc, bc2, out=gc), out=gc), eps, out=gc)
-            np.multiply(np.divide(mc, bc1, out=a), lr, out=a)
+            np.add(np.sqrt(np.divide(vc, bc2, out=gc), out=gc), EPSILON, out=gc)
+            np.multiply(np.divide(mc, bc1, out=a), state.lr, out=a)
             np.subtract(wc, np.divide(a, gc, out=a), out=wc)
             for j, p, q in parts:
                 np.copyto(ws[j][p - starts[j] : q - starts[j]], wc[p - s : q - s], casting="same_kind")
@@ -125,7 +124,7 @@ def adam_step(
                 raise ShapeMismatchError(f"adam_step: {name}: not a float32 array it can write in place")
         ws = [a.reshape(-1) for a in arrays]  # views made after the unlock are writeable
         state.t += 1
-        bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+        bc1, bc2 = 1.0 - BETA1**state.t, 1.0 - BETA2**state.t
         run_chunked(n, update)
     finally:
         for a in arrays:
@@ -133,11 +132,11 @@ def adam_step(
     return params
 
 
-def bce_loss(pred: Tensor, target: Tensor, eps_clip: float = 1e-7) -> float:
-    """Mean binary cross-entropy with predictions clipped to [eps, 1-eps].
+def bce_loss(pred: Tensor, target: Tensor) -> float:
+    """Mean binary cross-entropy with predictions clipped to [1e-7, 1 - 1e-7].
 
     This is the graph's `bce` kernel run on float64 copies of the inputs.
     """
     args = [pred.data.astype(np.float64), target.data.astype(np.float64)]
-    loss, _ = _bce_fwd(args, {"eps": eps_clip}, None)
+    loss, _ = _bce_fwd(args, {}, None)
     return float(loss[0])

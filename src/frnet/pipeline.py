@@ -111,6 +111,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         checks = [
+            (self.seed >= 0, "seed must be >= 0"),
             (self.batch_size >= 1, "batch-size must be >= 1"),
             (self.epochs_ae >= 0, "epochs-ae must be >= 0"),
             (self.epochs_clf >= 0, "epochs-clf must be >= 0"),
@@ -415,7 +416,10 @@ def _resolve_dataset(cfg: RunConfig, dataset: Dataset | str | None) -> Dataset:
 
 def _ensure_out_dir(cfg: RunConfig, *parts: str) -> str:
     path = os.path.join(cfg.out_dir, *parts)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out-dir: {e}") from None
     return path
 
 
@@ -433,8 +437,8 @@ def cmd_train_ae(cfg: RunConfig, dataset: Dataset | None = None) -> dict:
     """Train the autoencoder on the full dataset; write checkpoint and log."""
     cfg.validate()
     d = _resolve_dataset(cfg, dataset)
-    model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
     out = _ensure_out_dir(cfg)
+    model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
     ckpt_path = os.path.join(out, "ae.ckpt")
     log_path = os.path.join(out, "ae_train_log.tsv")
     _save(cfg, model, record, log, ckpt_path, log_path)
@@ -447,9 +451,9 @@ def cmd_extract(cfg: RunConfig, ae_checkpoint: str, dataset: Dataset | None = No
     d = _resolve_dataset(cfg, dataset)
     if len(d) == 0:
         raise DataError("dataset has no rows; nothing to extract")
+    out = _ensure_out_dir(cfg)
     ae, record = _load_model(ae_checkpoint, "frnet1")
     rep = _represent(ae, record, d.features, ae_checkpoint)
-    out = _ensure_out_dir(cfg)
     path = os.path.join(out, "features.tsv")
     write_feature_file(path, Dataset(d.name, d.drug_ids, d.target_ids, rep, d.labels))
     return path
@@ -459,8 +463,8 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
     """Train the classifier on an extracted-feature file; write checkpoint and log."""
     cfg.validate()
     d = read_feature_file(features_path)
-    model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
     out = _ensure_out_dir(cfg)
+    model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
     ckpt_path = os.path.join(out, "clf.ckpt")
     log_path = os.path.join(out, "clf_train_log.tsv")
     _save(cfg, model, None, log, ckpt_path, log_path)

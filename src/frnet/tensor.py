@@ -3,7 +3,7 @@
 Layout contract: row-major (C order); 4-D activation tensors are
 [batch, height, width, channels]. Values are 32-bit floats. A float64
 tensor may be constructed explicitly for verification paths (gradient
-checks run a 64-bit shadow evaluation); model and checkpoint paths only
+checks evaluate graphs of float64 tensors); model and checkpoint paths only
 ever hold float32.
 """
 
@@ -89,19 +89,11 @@ class Tensor:
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, shape: Shape | None = None, dtype=np.float32):
+    def __init__(self, values, dtype=np.float32):
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"unsupported dtype {dtype}")
         a = np.array(values, dtype=dtype, order="C")
-        if shape is not None:
-            shape = check_shape(shape)
-            if a.size != math.prod(shape):
-                raise ShapeMismatchError(
-                    f"{a.size} values cannot fill shape {shape} ({math.prod(shape)} elements)"
-                )
-            a = a.reshape(shape)
-        else:
-            check_shape(a.shape if a.ndim else (1,))
+        check_shape(a.shape if a.ndim else (1,))
         if a.ndim == 0:
             a = a.reshape(1)
         a.flags.writeable = False

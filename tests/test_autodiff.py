@@ -213,9 +213,9 @@ def test_registry_covers_operator_set():
     expected = {
         "conv2d", "maxpool2d", "matmul", "bias_add", "relu", "sigmoid",
         "dropout", "flatten", "reshape", "concat", "add", "sub", "mul",
-        "reduce_sum", "reduce_mean", "bce", "l2_penalty",
+        "reduce_sum", "reduce_mean", "bce",
     }
-    assert expected <= set(op_kinds())
+    assert set(op_kinds()) == expected
 
 
 def test_a_plainly_registered_kind_is_handed_its_parameter_buffers(monkeypatch):
@@ -244,14 +244,19 @@ def test_a_plainly_registered_kind_is_handed_its_parameter_buffers(monkeypatch):
     assert np.shares_memory(handed[0][1], handed[1][1])
 
 
-def test_double_precision_path_casts_feeds_and_params():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_runs_at_the_dtype_of_its_tensors(dtype):
     g = Graph()
     x = g.placeholder("x")
-    w = g.parameter("w", Tensor([[2.0], [1.0]]))
+    w = g.parameter("w", Tensor([[2.0], [1.0]], dtype=dtype))
     y = g.apply("matmul", [x, w])
-    vals = g.forward({x: Tensor([[1.0, 3.0]])}, outputs=[y], precision="double")
-    assert vals[y].dtype == np.float64
+    feed = Tensor([[1.0, 3.0]], dtype=dtype)
+    vals = g.forward({x: feed}, outputs=[x, w, y])
+    assert vals[y].dtype == dtype
     assert vals[y].tolist() == [[5.0]]
+    # fed and held arrays are used as they are, not copied
+    assert np.shares_memory(vals[x].data, feed.data)
+    assert np.shares_memory(vals[w].data, g.nodes[w].value.data)
 
 
 def test_forward_returns_only_requested_outputs_read_only():
@@ -303,8 +308,8 @@ def test_forward_rejects_outputs_that_are_not_nodes(bad):
 # fan-in summed in place, against the backward pass that allocates every sum
 
 
-def _assert_backward_matches_allocating_sums(g, loss, **forward):
-    g.forward({}, outputs=[loss], **forward)
+def _assert_backward_matches_allocating_sums(g, loss):
+    g.forward({}, outputs=[loss])
     before = {i: (v.dtype, v.tobytes()) for i, v in g._values.items()}
     want = allocating_backward(g, loss)
     got = g.backward(loss)
@@ -315,8 +320,8 @@ def _assert_backward_matches_allocating_sums(g, loss, **forward):
     assert {i: (v.dtype, v.tobytes()) for i, v in g._values.items()} == before
 
 
-def _param(g, name, shape, rng):
-    return g.parameter(name, Tensor(rng.standard_normal(shape).astype(np.float32)))
+def _param(g, name, shape, rng, dtype=np.float32):
+    return g.parameter(name, Tensor(rng.standard_normal(shape), dtype=dtype))
 
 
 def test_fan_in_of_one_grad_fed_to_both_inputs():
@@ -346,13 +351,13 @@ def test_fan_in_of_a_flatten_reshape_concat_diamond():
     _assert_backward_matches_allocating_sums(g, loss)
 
 
-def _three_way_fan_in(rng):
-    # x feeds a mul, an l2 penalty and an add; the add's adjoint is an alias
-    # of w's gradient and arrives first, the other two are fresh arrays
+def _three_way_fan_in(rng, dtype=np.float32):
+    # x feeds a mul, a relu and an add; the add's adjoint is an alias of w's
+    # gradient and arrives first, the other two are fresh arrays
     g = Graph()
-    x, w, k1, k2 = (_param(g, n, (4, 5), rng) for n in ("x", "w", "k1", "k2"))
+    x, w, k1, k2 = (_param(g, n, (4, 5), rng, dtype) for n in ("x", "w", "k1", "k2"))
     t1 = g.apply("mul", [x, k1])
-    t2 = g.apply("l2_penalty", [x], scale=0.01)
+    t2 = g.apply("reduce_sum", [g.apply("relu", [x])])
     t3 = g.apply("add", [x, w])
     s = g.apply("add", [t1, t3])
     data = g.apply("reduce_sum", [g.apply("mul", [s, k2])])
@@ -365,8 +370,8 @@ def test_three_way_fan_in():
 
 
 def test_fan_in_on_the_float64_shadow_pass():
-    g, loss = _three_way_fan_in(np.random.default_rng(34))
-    _assert_backward_matches_allocating_sums(g, loss, precision="double")
+    g, loss = _three_way_fan_in(np.random.default_rng(34), np.float64)
+    _assert_backward_matches_allocating_sums(g, loss)
     assert all(g.value(i).dtype == np.float64 for i in g.parameters().values())
 
 
@@ -394,8 +399,7 @@ def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
     # A training step adds each weight's l2 term into the gradient the conv
     # or matmul wrote into that weight's buffer, so it holds one gradient per
     # weight. The same must hold with every registry entry rebuilt around
-    # pass-through *args, **kwargs wrappers, as a tracer does; the l2_penalty
-    # kind itself never runs.
+    # pass-through *args, **kwargs wrappers, as a tracer does.
     spec = NetworkSpec("tiny", (
         Input("in", (), (16, 16, 1)),
         Conv("conv", ("in",), 3, 3, 8, 1, "relu", 0.01),
@@ -433,6 +437,6 @@ def test_l2_terms_add_into_the_conv_and_matmul_weight_gradients(monkeypatch):
     for peak in (first_peak, plain_peak, traced_peak):
         assert peak < 1.5 * nbytes, f"training step peaked at {peak / nbytes:.2f} weight sizes"
     assert abs(traced_peak - plain_peak) < 0.05 * nbytes
-    assert {"conv2d", "matmul"} <= set(kinds) and "l2_penalty" not in kinds
+    assert {"conv2d", "matmul"} <= set(kinds)
     for name, w in want.items():
         assert plain[name].tobytes() == w.tobytes() == traced[name].data.tobytes(), name

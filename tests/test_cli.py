@@ -4,11 +4,16 @@ Runs go through main() with tiny zero- or one-epoch configs; this file
 checks plumbing and process contracts, not learning behavior.
 """
 
+import errno
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+from frnet import cli, data
 from frnet.cli import build_parser, main
 from frnet.data import write_feature_file
 from frnet.synth import synth_blobs
@@ -136,6 +141,56 @@ class TestExitCodes:
         assert rc == 2
         assert "error: frnet1 epoch 0: parameters are not finite" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "ae.ckpt").exists()
+
+    def test_negative_seed_exits_one(self, dataset_file, tmp_path, capsys):
+        rc = main(["train-ae", *tiny_flags(dataset_file, tmp_path, seed="-1")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("command", ["train-ae", "extract", "train-clf"])
+    def test_out_dir_under_a_file_exits_one_before_any_work(self, dataset_file, tmp_path, command, capsys):
+        # extract checks the out-dir before it reads its (absent) checkpoint
+        extra = {"train-ae": [], "extract": ["--ae-checkpoint", str(tmp_path / "absent.ckpt")],
+                 "train-clf": ["--features", dataset_file]}[command]
+        (tmp_path / "file").write_text("")
+        rc = main([command, *tiny_flags(dataset_file, tmp_path / "file" / "out"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: out-dir: ") and len(err.splitlines()) == 1, err
+
+    def test_out_of_memory_is_one_error_line(self, dataset_file, tmp_path):
+        # the 768 x 1000000 float64 draw of fc1's weights cannot fit under a
+        # 3 GiB address-space cap on the child process
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = os.path.dirname(os.path.dirname(data.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        flags = tiny_flags(dataset_file, tmp_path, **{"ae-hidden": "1000000,1000000"})
+        proc = subprocess.run([sys.executable, "-m", "frnet.cli", "train-ae", *flags], env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Unable to allocate ") and len(proc.stderr.splitlines()) == 1
+
+    def test_a_memory_error_without_a_message_names_itself(self, monkeypatch, capsys):
+        def out_of_memory(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_ingest", out_of_memory)
+        assert main(["ingest"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_failed_write_is_a_runtime_failure(self, dataset_file, tmp_path, monkeypatch, capsys):
+        def full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(data.os, "fsync", full)
+        rc = main(["train-ae", *tiny_flags(dataset_file, tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert not (tmp_path / "ae.ckpt").exists()
 
     @pytest.mark.parametrize("content", [
         b'{"dataset": "blobs", "pairs": 3', b"{}", b"\xff\xfe{}",

@@ -188,8 +188,8 @@ def test_dataset_validation():
 
 def test_subset_keeps_rows_aligned():
     d = _dataset(10, 4)
-    s = subset(d, np.array([7, 2]), name="slice")
-    assert s.name == "slice" and len(s) == 2
+    s = subset(d, np.array([7, 2]))
+    assert s.name == d.name and len(s) == 2
     assert s.drug_ids == (d.drug_ids[7], d.drug_ids[2])
     assert np.array_equal(s.features[0], d.features[7])
     assert s.labels.tolist() == [int(d.labels[7]), int(d.labels[2])]
@@ -394,7 +394,7 @@ def test_feature_file_round_trip_is_bitwise(tmp_path):
     )
     full = str(tmp_path / "features_rt.tsv")
     write_feature_file(full, d)
-    back = read_feature_file(full, name="rt")
+    back = read_feature_file(full)
     assert back.features.tobytes() == d.features.tobytes()
     assert back.labels.tolist() == d.labels.tolist()
     assert back.drug_ids == d.drug_ids and back.target_ids == d.target_ids

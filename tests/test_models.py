@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import peak_alloc
+from conftest import GRAD_STEP, GRAD_TOL, peak_alloc
 from frnet.autodiff import TRAIN, Graph
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
@@ -17,6 +17,8 @@ from frnet.models import (
     Input,
     NetworkSpec,
     Pool,
+    _add_l2_grad,
+    _l2_value,
     build_frnet1,
     build_frnet2,
     compile_model,
@@ -234,6 +236,22 @@ def test_train_step_returns_gradients_for_all_parameters():
     assert total >= data > 0.0
 
 
+def test_l2_gradient_matches_finite_differences_of_the_value():
+    # the value/gradient pair train_step_grads adds after the backward pass,
+    # in float64 so that rounding does not drown the finite differences
+    w = np.random.default_rng(42).uniform(-1.0, 1.0, (4, 3))
+    grad = np.zeros_like(w)
+    _add_l2_grad(w, 0.003, grad)
+    numeric = np.empty(w.size)
+    for j in range(w.size):
+        hi, lo = w.copy(), w.copy()
+        hi.flat[j] += GRAD_STEP
+        lo.flat[j] -= GRAD_STEP
+        numeric[j] = (_l2_value(hi, 0.003)[0] - _l2_value(lo, 0.003)[0]) / (2 * GRAD_STEP)
+    err = np.abs(grad.reshape(-1) - numeric) / np.maximum(np.abs(numeric), 1e-8)
+    assert err.max() < GRAD_TOL
+
+
 def _two_dropout_spec():
     return NetworkSpec("two_drops", (
         Input("in", (), (4, 4, 1)),
@@ -255,8 +273,6 @@ def test_each_dropout_is_keyed_by_its_layer_index(spec, want):
     g = compile_model(spec, init_seed=0, random_init=False).graph
     assert [(n.name, n.attrs["key"]) for n in g.nodes if n.op == "dropout"] == want
     assert [spec.layers[k].name for _, k in want] == [name for name, _ in want]
-    # the l2 penalty is added by the training step, not built into the graph
-    assert all(n.op != "l2_penalty" for n in g.nodes)
 
 
 def test_a_dropout_mask_depends_only_on_the_seed_and_the_key():

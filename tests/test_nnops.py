@@ -8,8 +8,8 @@ import pytest
 from conftest import DROPOUT_KEY, GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.errors import GraphError, ShapeMismatchError
-from frnet.models import Conv, Input, NetworkSpec, infer_shapes
-from frnet.nnops import _l2_penalty_fwd, same_pad
+from frnet.models import Conv, Input, NetworkSpec, _l2_value, infer_shapes
+from frnet.nnops import same_pad
 from frnet.tensor import CHUNK, Tensor
 
 
@@ -239,17 +239,14 @@ def test_operator_gradients_match_finite_differences(case):
     assert err < GRAD_TOL
 
 
-def _l2_graph(w, scale):
-    g = Graph()
-    node = g.apply("l2_penalty", [g.parameter("w", Tensor(w))], scale=scale)
-    return g, node
+# The l2 penalty's value, private to models.train_step_grads: its summation
+# order fixes the reported loss bits. Its gradient is checked in test_models.
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (1 << 16,), (700, 300)])
 def test_l2_penalty_value_matches_float64_sum_of_squares(shape):
     w = np.random.default_rng(4).standard_normal(shape).astype(np.float32)
-    g, node = _l2_graph(w, 1.0)
-    got = float(g.forward({}, outputs=[node], precision="double")[node].data[0])
+    got = float(_l2_value(w.astype(np.float64), 1.0)[0])
     want = float(np.sum(np.square(w, dtype=np.float64)))
     assert abs(got - want) <= 1e-12 * want
 
@@ -273,14 +270,13 @@ def test_l2_penalty_value_is_bitwise_equal_to_the_sequential_chunk_loop(n, dtype
     rng = np.random.default_rng(n)
     # magnitudes over many binades, so that any change in summation order shows
     w = (rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)).astype(dtype)
-    got, _ = _l2_penalty_fwd([w], {"scale": 0.001}, None)
+    got = _l2_value(w, 0.001)
     assert got.tobytes() == _sequential_l2_value(w, 0.001).tobytes()
 
 
 def test_l2_penalty_forward_builds_no_full_size_temporary():
     w = np.random.default_rng(5).standard_normal((2048, 1024)).astype(np.float32)
-    g, node = _l2_graph(w, 0.001)
-    _, peak = peak_alloc(lambda: g.forward({}, outputs=[node]))
+    _, peak = peak_alloc(lambda: _l2_value(w, 0.001))
     assert peak < 2**20, f"l2_penalty forward peaked at {peak / 2**20:.2f} MB"
 
 
@@ -347,7 +343,7 @@ def _graph_op(kind, inputs, up, precision, **attrs):
     node = g.apply(kind, params, **attrs)
     upn = g.placeholder("up")
     loss = g.apply("reduce_sum", [g.apply("mul", [node, upn])])
-    y = g.forward({upn: Tensor(up, dtype=dtype)}, outputs=[node, loss], precision=precision)[node].data
+    y = g.forward({upn: Tensor(up, dtype=dtype)}, outputs=[node, loss])[node].data
     grads = g.backward(loss)
     return y, [grads[p].data for p in params]
 

@@ -17,7 +17,7 @@ from conftest import (
 from frnet import tensor
 from frnet.errors import GraphError, ShapeMismatchError
 from frnet.models import Dense, Flatten, Input, NetworkSpec, build_frnet1, build_frnet2, compile_model
-from frnet.optim import AdamState, adam_step, bce_loss
+from frnet.optim import BETA1, BETA2, EPSILON, AdamState, adam_step, bce_loss
 from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor
 
 
@@ -27,8 +27,7 @@ def test_state_init_matches_parameter_shapes():
     assert state.t == 0
     assert state.layout == (("w", (3, 2)), ("b", (2,)))
     assert all(a.shape == (8,) and a.dtype == np.float64 for a in (state.m, state.v, state.master))
-    assert state.lr == 0.001 and state.beta1 == 0.9
-    assert state.beta2 == 0.999 and state.epsilon == 1e-8
+    assert state.lr == 0.001 and (BETA1, BETA2, EPSILON) == (0.9, 0.999, 1e-8)
 
 
 def test_first_step_magnitude_is_lr():
