@@ -127,10 +127,12 @@ def _load_delimited(path: str, lines: list[tuple[int, str]]):
             raise DataError(f"{path}: no data rows after header")
     drug_ids, target_ids, labels, rows = [], [], [], []
     width = None
+    has_ids = not _is_number(lines[0][1].split(sep)[0].strip())
     for lineno, line in lines:
         where = f"{path}:{lineno}"
         fields = [f.strip() for f in line.split(sep)]
-        has_ids = not _is_number(fields[0])
+        if _is_number(fields[0]) == has_ids:
+            raise DataError(f"{where}: drug and target ids must be on every row or on none")
         if has_ids:
             if len(fields) < 4:
                 raise DataError(f"{where}: expected drug-id, target-id, label, features")
@@ -218,7 +220,7 @@ def load_dataset(
     elif format == SPARSE:
         drug_ids, target_ids, labels, feats = _load_sparse(path, lines, feature_count)
     else:
-        raise DataError(f"unknown dataset format {format!r}")
+        raise DataError(f"unknown dataset format {format!r}; expected {DELIMITED!r} or {SPARSE!r}")
     if feature_count is not None and feats.shape[1] != feature_count:
         raise DataError(
             f"{path}: rows carry {feats.shape[1]} features, expected {feature_count}"

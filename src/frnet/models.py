@@ -23,31 +23,10 @@ import numpy as np
 
 from .autodiff import EVAL, TRAIN, Graph
 from .errors import ShapeMismatchError
-from .nnops import same_pad
 from .rng import INIT, stream
 from .tensor import CHUNK, Tensor
 
 DEEP_FEATURES = "deep-features"
-
-
-@dataclass(frozen=True)
-class InceptionSpec:
-    """Parallel 1x1-bottlenecked convolutions plus a pooling passthrough.
-
-    Each conv branch is a 1x1 convolution to `bottleneck_channels` followed
-    by an (fh, fw) convolution to the branch's output channels; the pool
-    branch is a max-pool that preserves channels. The module stride is
-    carried by each branch's second stage (spatial conv or pool), so all
-    branches agree on spatial extents and concatenate on the channel axis.
-    """
-
-    bottleneck_channels: int = 16
-    branches: tuple[tuple[int, int, int], ...] = ((3, 3, 64), (2, 2, 64), (5, 5, 32))
-    pool_kernel: int = 1
-    stride: int = 1
-
-    def out_channels(self, in_channels: int) -> int:
-        return sum(oc for _, _, oc in self.branches) + in_channels
 
 
 @dataclass(frozen=True)
@@ -79,8 +58,21 @@ class Pool(Layer):
 
 @dataclass(frozen=True)
 class Inception(Layer):
-    spec: InceptionSpec
+    """Parallel 1x1-bottlenecked convolutions plus a pooling passthrough.
+
+    Each conv branch is a 1x1 convolution to `bottleneck_channels`, then an
+    (fh, fw) convolution at `stride` to the branch's channels; the pool branch
+    keeps the channels. The branches concatenate on the channel axis.
+    """
+
+    bottleneck_channels: int = 16
+    branches: tuple[tuple[int, int, int], ...] = ((3, 3, 64), (2, 2, 64), (5, 5, 32))
+    pool_kernel: int = 1
+    stride: int = 1
     l2_scale: float = 0.0
+
+    def out_channels(self, in_channels: int) -> int:
+        return sum(oc for _, _, oc in self.branches) + in_channels
 
 
 @dataclass(frozen=True)
@@ -120,8 +112,9 @@ class NetworkSpec:
         return self.layers[-1]
 
 
-def _conv_out(hw: tuple[int, int], fh: int, fw: int, stride: int) -> tuple[int, int]:
-    return same_pad(hw[0], fh, stride)[2], same_pad(hw[1], fw, stride)[2]
+def _conv_out(hw: tuple[int, int], stride: int) -> tuple[int, int]:
+    """SAME output extents, ceil(extent / stride) whatever the filter."""
+    return -(-hw[0] // stride), -(-hw[1] // stride)
 
 
 def _check_layer(layer: Layer, n_inputs: int) -> None:
@@ -136,8 +129,8 @@ def _check_layer(layer: Layer, n_inputs: int) -> None:
     elif isinstance(layer, Pool):
         sizes = (layer.kernel, layer.stride)
     elif isinstance(layer, Inception):
-        sp = layer.spec
-        sizes = (sp.bottleneck_channels, sp.pool_kernel, sp.stride) + sum(map(tuple, sp.branches), ())
+        sizes = (layer.bottleneck_channels, layer.pool_kernel, layer.stride)
+        sizes += sum(map(tuple, layer.branches), ())
     else:
         sizes = (layer.width,) if isinstance(layer, Dense) else ()
     if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in sizes):
@@ -186,12 +179,11 @@ def build_frnet1(
         raise ShapeMismatchError(
             f"orientation {orientation} cannot hold {feature_count} features plus one pad"
         )
-    incep = InceptionSpec(bottleneck_channels=bottleneck_channels, stride=1)
     layers = (
         Input("in", (), (h, w, 1)),
         Conv("conv1", ("in",), 1, 1, 32, 2, "relu", l2_scale),
         Pool("pool1", ("conv1",), 2, 2),
-        Inception("incep1", ("pool1",), incep, l2_scale),
+        Inception("incep1", ("pool1",), bottleneck_channels, l2_scale=l2_scale),
         Flatten("flat", ("incep1",)),
         Dense("fc1", ("flat",), hidden[0], "relu", l2_scale),
         Dense("fc2", ("fc1",), hidden[1], "relu", l2_scale),
@@ -222,18 +214,18 @@ def build_frnet2(
     if side * side != feature_count:
         raise ShapeMismatchError(f"feature count {feature_count} is not a perfect square")
 
-    def incep(stride: int) -> InceptionSpec:
-        return InceptionSpec(bottleneck_channels=bottleneck_channels, stride=stride)
+    def incep(name: str, src: str, stride: int) -> Inception:
+        return Inception(name, (src,), bottleneck_channels, stride=stride, l2_scale=l2_scale)
 
     layers = (
         Input("in", (), (side, side, 1)),
         Conv("conv1", ("in",), 1, 1, 32, 2, "relu", l2_scale),
         Pool("pool1", ("conv1",), 2, 2),
-        Inception("incep_s1", ("pool1",), incep(1), l2_scale),
+        incep("incep_s1", "pool1", 1),
         Pool("pool_s1", ("incep_s1",), 2, 2),
-        Inception("incep_s2", ("pool1",), incep(2), l2_scale),
+        incep("incep_s2", "pool1", 2),
         Concat("merge", ("pool_s1", "incep_s2")),
-        Inception("incep_top", ("merge",), incep(1), l2_scale),
+        incep("incep_top", "merge", 1),
         Flatten("flat", ("incep_top",)),
         Dense("fc1", ("flat",), hidden[0], "relu", l2_scale),
         Dense("fc2", ("fc1",), hidden[1], "relu", l2_scale),
@@ -246,9 +238,8 @@ def build_frnet2(
 
 
 # ---------------------------------------------------------------------------
-# spec <-> plain-dict serialization (checkpoint payload), field by field:
-# tuples become lists, and an Inception layer's InceptionSpec fields sit flat
-# in the layer's own dict.
+# spec <-> plain-dict serialization (checkpoint payload), field by field;
+# tuples become lists
 
 _LAYER_KINDS = {
     c.__name__.lower(): c for c in (Input, Conv, Pool, Inception, Flatten, Dense, Dropout, Concat)
@@ -266,20 +257,12 @@ def _from_json(v):
     return tuple(_from_json(x) for x in v) if isinstance(v, list) else v
 
 
-def _write(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        out.update(_write(v) if f.name == "spec" else {_KEYS.get(f.name, f.name): _to_json(v)})
-    return out
+def _write(layer: Layer) -> dict:
+    return {_KEYS.get(f.name, f.name): _to_json(getattr(layer, f.name)) for f in fields(layer)}
 
 
-def _read(cls, ld: dict):
-    return cls(**{
-        f.name: _read(InceptionSpec, ld) if f.name == "spec"
-        else _from_json(ld[_KEYS.get(f.name, f.name)])
-        for f in fields(cls)
-    })
+def _read(cls, ld: dict) -> Layer:
+    return cls(**{f.name: _from_json(ld[_KEYS.get(f.name, f.name)]) for f in fields(cls)})
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
@@ -340,6 +323,9 @@ def _lower(spec: NetworkSpec, g: Graph):
             raise ShapeMismatchError(f"layer {layer.name}: the input must be the first layer, and only it")
         if layer.name in shapes:
             raise ShapeMismatchError(f"layer name {layer.name!r} is used twice")
+        for n in layer.inputs:
+            if n not in shapes:
+                raise ShapeMismatchError(f"layer {layer.name}: input {n!r} names no earlier layer")
         ins = [shapes[n] for n in layer.inputs]
         _check_layer(layer, len(ins))
         src = [outputs[n] for n in layer.inputs]
@@ -354,30 +340,25 @@ def _lower(spec: NetworkSpec, g: Graph):
             node = g.placeholder("x")
         elif isinstance(layer, Conv):
             h, w, cin = ins[0]
-            out = _conv_out((h, w), layer.filter_height, layer.filter_width, layer.stride)
-            out += (layer.out_channels,)
+            out = _conv_out((h, w), layer.stride) + (layer.out_channels,)
             node = affine(layer.name, src[0],
                           (layer.filter_height, layer.filter_width, cin, layer.out_channels),
                           layer.activation, layer.l2_scale, layer.stride)
         elif isinstance(layer, Pool):
             h, w, c = ins[0]
-            out = _conv_out((h, w), layer.kernel, layer.kernel, layer.stride) + (c,)
+            out = _conv_out((h, w), layer.stride) + (c,)
             node = g.apply("maxpool2d", src, name=layer.name, kernel=layer.kernel, stride=layer.stride)
         elif isinstance(layer, Inception):
             h, w, cin = ins[0]
-            sp, bc = layer.spec, layer.spec.bottleneck_channels
-            spatial = {_conv_out((h, w), fh, fw, sp.stride) for fh, fw, _ in sp.branches}
-            spatial.add(_conv_out((h, w), sp.pool_kernel, sp.pool_kernel, sp.stride))
-            if len(spatial) != 1:
-                raise ShapeMismatchError(f"inception {layer.name}: branch extents diverge {spatial}")
-            out = spatial.pop() + (sp.out_channels(cin),)
+            bc = layer.bottleneck_channels
+            out = _conv_out((h, w), layer.stride) + (layer.out_channels(cin),)
             parts = []
-            for b, (fh, fw, oc) in enumerate(sp.branches):
+            for b, (fh, fw, oc) in enumerate(layer.branches):
                 red = affine(f"{layer.name}/b{b}/reduce", src[0], (1, 1, cin, bc), "relu", layer.l2_scale)
                 parts.append(affine(f"{layer.name}/b{b}/conv", red, (fh, fw, bc, oc), "relu",
-                                    layer.l2_scale, sp.stride))
+                                    layer.l2_scale, layer.stride))
             parts.append(g.apply("maxpool2d", src, name=f"{layer.name}/pool",
-                                 kernel=sp.pool_kernel, stride=sp.stride))
+                                 kernel=layer.pool_kernel, stride=layer.stride))
             node = g.apply("concat", parts, name=layer.name)
         elif isinstance(layer, Flatten):
             out = (math.prod(ins[0]),)
@@ -410,7 +391,7 @@ def _glorot(rng, shape) -> Tensor:
     """Glorot-uniform weight; fans count the kernel extents on both sides."""
     fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+    return Tensor._wrap(rng.uniform(-bound, bound, size=shape).astype(np.float32))
 
 
 class CompiledModel:

@@ -9,16 +9,16 @@ Cross-correlation convention (no kernel flip). SAME padding on each spatial
 axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
 + filter - input, 0), split floor(total/2) before and the rest after.
 
-A padded buffer is made only when padding is needed, which is never for a
-1x1 filter. Convolutions take one strided view of every window of the
-SAME-padded input (im2col) and make one matmul of it; reshaping that view
-copies the windows, except for a 1x1 filter at stride 1, whose rows are the
-input's pixels. The backward scatters the gradient back window by window
-(col2im). Max pooling keeps a running maximum over the k*k window offsets,
-each a strided view of the padded input, and its backward adds the adjoint
-back one offset at a time. The identity pool (kernel 1, stride 1) that every
-inception block holds returns its input, and its backward returns the
-upstream adjoint.
+Convolution and max pooling share one gather and one scatter. `_windows` is
+one read-only strided view of every window of the SAME-padded input, and a
+padded buffer is made only when padding is needed, which is never for a 1x1
+filter. A convolution makes one matmul of that view; reshaping it copies the
+windows, except for a 1x1 filter at stride 1, whose rows are the input's
+pixels. Max pooling keeps a running maximum over the view's k*k window
+offsets. Both backwards call `_scatter`, which adds one adjoint term per
+window offset, in row-major order, into zeros and crops off the padding.
+The identity pool (kernel 1, stride 1) that every inception block holds
+returns its input, and its backward returns the upstream adjoint.
 
 Every path gives the same bytes, forward and backward, as the SAME-padded
 path that copies each window and takes its argmax (the tests keep that path
@@ -54,49 +54,34 @@ def same_pad(extent: int, filt: int, stride: int) -> tuple[int, int, int]:
     return before, total - before, out
 
 
-def _pad_same(x, fh, fw, stride, pad_value):
-    """x SAME-padded with pad_value (x itself when no padding is needed), and (pt, pl, oh, ow)."""
+def _windows(x, fh, fw, stride, fill):
+    """The read-only (b, oh, ow, fh, fw, c) view of every window of x, SAME-padded with `fill`.
+
+    x itself backs the view when no padding is needed, as for every 1x1 filter.
+    """
     b, h, w, c = x.shape
     pt, pb, oh = same_pad(h, fh, stride)
     pl, pr, ow = same_pad(w, fw, stride)
-    if not (pt or pb or pl or pr):
-        return x, (pt, pl, oh, ow)
-    xp = np.full((b, h + pt + pb, w + pl + pr, c), pad_value, dtype=x.dtype)
-    xp[:, pt : pt + h, pl : pl + w, :] = x
-    return xp, (pt, pl, oh, ow)
+    if pt or pb or pl or pr:
+        xp = np.full((b, h + pt + pb, w + pl + pr, c), fill, dtype=x.dtype)
+        xp[:, pt : pt + h, pl : pl + w, :] = x
+        x = xp
+    sb, sh, sw, sc = x.strides
+    return as_strided(x, (b, oh, ow, fh, fw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
+                      writeable=False)
 
 
-def _padded_zeros(x_shape, fh, fw, stride, dtype):
+def _scatter(x_shape, fh, fw, stride, term, dtype):
+    """Add term(i, j) at every window offset, row-major, into SAME-padded zeros; crop to x_shape."""
     b, h, w, c = x_shape
-    pt, pb, _ = same_pad(h, fh, stride)
-    pl, pr, _ = same_pad(w, fw, stride)
-    return np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dtype)
-
-
-def _window(xp, i, j, stride, oh, ow):
-    """The (b, oh, ow, c) view of padded xp at window offset (i, j)."""
-    return xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-
-
-def _im2col(x, fh, fw, stride):
-    # (b, h, w, c) -> (b, oh, ow, fh, fw, c): a read-only view of every window
-    # of the zero-padded input; same_pad keeps every window inside the buffer
-    xp, pads = _pad_same(x, fh, fw, stride, 0.0)
-    _, _, oh, ow = pads
-    sb, sh, sw, sc = xp.strides
-    windows = as_strided(xp, (x.shape[0], oh, ow, fh, fw, x.shape[3]),
-                         (sb, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-    return windows, pads
-
-
-def _col2im(dcols, x_shape, fh, fw, stride, pads):
-    pt, pl, oh, ow = pads
-    dxp = _padded_zeros(x_shape, fh, fw, stride, dcols.dtype)
+    pt, pb, oh = same_pad(h, fh, stride)
+    pl, pr, ow = same_pad(w, fw, stride)
+    dxp = np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dtype)
     for i in range(fh):
         for j in range(fw):
-            win = _window(dxp, i, j, stride, oh, ow)
-            win += dcols[:, :, :, i, j, :]
-    return dxp[:, pt : pt + x_shape[1], pl : pl + x_shape[2], :]
+            win = dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
+            win += term(i, j)
+    return dxp[:, pt : pt + h, pl : pl + w, :]
 
 
 def _check_rank4(x, op):
@@ -125,18 +110,18 @@ def _conv2d_fwd(args, attrs, ctx):
     _conv2d_check(x.shape, w.shape, b.shape)
     fh, fw, cin, cout = w.shape
     stride = attrs["stride"]
-    cols, pads = _im2col(x, fh, fw, stride)
+    cols = _windows(x, fh, fw, stride, 0.0)
     bsz, oh, ow = cols.shape[:3]
     # copies the windows, except for a 1x1 filter at stride 1 on a contiguous
     # input, whose rows are the input's pixels
     cols2 = cols.reshape(bsz * oh * ow, fh * fw * cin)
     y = cols2 @ w.reshape(fh * fw * cin, cout) + b
-    return y.reshape(bsz, oh, ow, cout), (cols2, pads)
+    return y.reshape(bsz, oh, ow, cout), cols2
 
 
 def _conv2d_bwd(grad, args, out, saved, attrs, bufs=None):
     x, w, b = args
-    cols2, pads = saved
+    cols2 = saved
     fh, fw, cin, cout = w.shape
     stride = attrs["stride"]
     _, dw, db = bufs or (None, None, None)
@@ -146,7 +131,7 @@ def _conv2d_bwd(grad, args, out, saved, attrs, bufs=None):
     np.matmul(cols2.T, g2, out=dw.reshape(-1, cout))
     db = g2.sum(axis=0, out=db)
     dcols = (g2 @ w.reshape(fh * fw * cin, cout).T).reshape(grad.shape[:3] + (fh, fw, cin))
-    dx = _col2im(dcols, x.shape, fh, fw, stride, pads)
+    dx = _scatter(x.shape, fh, fw, stride, lambda i, j: dcols[:, :, :, i, j, :], dcols.dtype)
     return dx, dw, db
 
 
@@ -160,19 +145,18 @@ def _maxpool2d_fwd(args, attrs, ctx):
     k, stride = attrs["kernel"], attrs["stride"]
     if k == stride == 1:
         return x, None
-    xp, pads = _pad_same(x, k, k, stride, -np.inf)
-    _, _, oh, ow = pads
-    best = _window(xp, 0, 0, stride, oh, ow)
+    wins = _windows(x, k, k, stride, -np.inf)
+    best = wins[:, :, :, 0, 0, :]
     arg = np.zeros(best.shape, dtype=np.min_scalar_type(k * k - 1))
     for n in range(1, k * k):
-        win = _window(xp, *divmod(n, k), stride, oh, ow)
+        win = wins[:, :, :, n // k, n % k, :]
         # argmax's first-occurrence rule in row-major window order: a later
         # element wins when it is greater, or a NaN over a number; np.where
         # selects elements, so signed zeros and NaN payloads pass as they are
         take = ~(win <= best) & (best == best)
         best = np.where(take, win, best)
         arg[take] = n
-    return best, (arg, pads)
+    return best, arg
 
 
 def _maxpool2d_bwd(grad, args, out, saved, attrs, bufs=None):
@@ -180,13 +164,9 @@ def _maxpool2d_bwd(grad, args, out, saved, attrs, bufs=None):
         return (grad,)
     (x,) = args
     k, stride = attrs["kernel"], attrs["stride"]
-    arg, (pt, pl, oh, ow) = saved
-    dxp = _padded_zeros(x.shape, k, k, stride, grad.dtype)
-    for n in range(k * k):
-        # the adjoint where offset n won and +0.0 elsewhere, added like col2im
-        win = _window(dxp, *divmod(n, k), stride, oh, ow)
-        win += np.where(arg == n, grad, 0)
-    return (dxp[:, pt : pt + x.shape[1], pl : pl + x.shape[2], :],)
+    # the adjoint where offset i*k + j won and +0.0 elsewhere
+    return (_scatter(x.shape, k, k, stride,
+                     lambda i, j: np.where(saved == i * k + j, grad, 0), grad.dtype),)
 
 
 # ---------------------------------------------------------------------------

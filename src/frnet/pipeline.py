@@ -145,6 +145,11 @@ class RunConfig:
             )
         return side
 
+    def require_orientation(self, feature_count: int) -> None:
+        h, w = self.orientation
+        if h * w != feature_count + 1:
+            raise ConfigError(f"orientation {h}x{w} cannot hold {feature_count} features plus one pad")
+
 
 CONFIG_KEYS = {f.name: f.name.replace("_", "-") for f in fields(RunConfig)}
 
@@ -437,6 +442,7 @@ def cmd_train_ae(cfg: RunConfig, dataset: Dataset | None = None) -> dict:
     """Train the autoencoder on the full dataset; write checkpoint and log."""
     cfg.validate()
     d = _resolve_dataset(cfg, dataset)
+    cfg.require_orientation(d.feature_count)
     out = _ensure_out_dir(cfg)
     model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
     ckpt_path = os.path.join(out, "ae.ckpt")
@@ -476,6 +482,7 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
     cfg.validate()
     cfg.require_square_representation()
     d = _resolve_dataset(cfg, dataset)
+    cfg.require_orientation(d.feature_count)
     models_dir = _ensure_out_dir(cfg, "models")
     curves_dir = _ensure_out_dir(cfg, "curves")
     logs_dir = _ensure_out_dir(cfg, "logs")

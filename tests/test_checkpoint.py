@@ -403,6 +403,19 @@ def test_repeated_layer_name_fails_to_load(tmp_path):
         load(path)
 
 
+def test_input_that_names_no_earlier_layer_fails_to_load(tmp_path):
+    path = str(tmp_path / "dangling.ckpt")
+    save(_state(), path)
+
+    def dangle(header):
+        header["spec"]["layers"][-1]["inputs"] = ["nope"]
+        return header
+
+    _rewrite_header(path, dangle)
+    with pytest.raises(CheckpointError, match="'nope'"):
+        load(path)
+
+
 def test_failed_save_leaves_no_file(tmp_path):
     state = _state()
     state.params.pop(next(iter(state.params)))

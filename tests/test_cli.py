@@ -159,6 +159,25 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: out-dir: ") and len(err.splitlines()) == 1, err
 
+    def test_unknown_dataset_format_names_both_formats(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("1 0:0.5 3:2.0\n0 1:1.5\n")
+        assert main(["ingest", "--dataset-path", str(p), "--dataset-format", "sparse"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: unknown dataset format 'sparse'")
+        assert "'delimited-text'" in err and "'sparse-index-value'" in err
+
+    @pytest.mark.parametrize("command", ["train-ae", "cv-run"])
+    def test_orientation_that_does_not_fit_exits_one_before_any_output(self, tmp_path, command, capsys):
+        data15 = tmp_path / "blobs15.tsv"
+        write_feature_file(str(data15), synth_blobs(n=30, width=15, seed=3))
+        out = tmp_path / "out"
+        rc = main([command, *tiny_flags(str(data15), out, orientation="5x5")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: orientation 5x5 cannot hold 15 features plus one pad\n"
+        assert not out.exists()
+
     def test_out_of_memory_is_one_error_line(self, dataset_file, tmp_path):
         # the 768 x 1000000 float64 draw of fc1's weights cannot fit under a
         # 3 GiB address-space cap on the child process
@@ -212,6 +231,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "dataset blobs: 30 pairs, 3 positive, 48 features" in out
         assert "imbalance ratio: 9.00" in out
+
+    def test_ingest_reads_a_sparse_file(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("1 0:0.5 3:2.0\n0 1:1.5\n")
+        assert main(["ingest", "--dataset-path", str(p), "--dataset-format", "sparse-index-value"]) == 0
+        assert "2 pairs, 1 positive, 4 features" in capsys.readouterr().out
 
     def test_full_chain(self, dataset_file, tmp_path, capsys):
         flags = tiny_flags(dataset_file, tmp_path)

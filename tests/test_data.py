@@ -72,6 +72,16 @@ def test_delimited_without_header_or_ids(tmp_path):
     assert d.labels.tolist() == [1, 0]
 
 
+def test_rows_with_and_without_ids_do_not_mix(tmp_path):
+    # the first data row decides whether every row carries ids
+    p = tmp_path / "mixed.txt"
+    for rows, bad in (("D1\tT1\t1\t0.5\t0.2\n0\t0.1\t0.3\n", 2),
+                      ("# ids\n1\t0.5\t0.2\nD2\tT2\t0\t0.1\t0.3\n", 3)):
+        p.write_text(rows)
+        with pytest.raises(DataError, match=f"mixed.txt:{bad}: drug and target ids"):
+            load_dataset(str(p))
+
+
 def test_empty_file_is_a_parse_error(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
@@ -157,6 +167,8 @@ def test_unknown_format(tmp_path):
     p.write_text("1,2\n")
     with pytest.raises(DataError):
         load_dataset(str(p), "parquet")
+    with pytest.raises(DataError, match="'delimited-text' or 'sparse-index-value'"):
+        load_dataset(str(p), "sparse")
 
 
 # ---------------------------------------------------------------------------

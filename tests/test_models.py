@@ -13,7 +13,6 @@ from frnet.models import (
     Dropout,
     Flatten,
     Inception,
-    InceptionSpec,
     Input,
     NetworkSpec,
     Pool,
@@ -105,7 +104,7 @@ def test_frnet2_parameter_count_closed_form():
 
 
 def test_inception_channel_formula():
-    spec = InceptionSpec()
+    spec = Inception("incep", ("x",))
     assert spec.out_channels(32) == 192 == 160 + 32
     assert spec.out_channels(384) == 544 == 160 + 384
 
@@ -147,10 +146,21 @@ def test_repeated_layer_name_is_rejected():
         infer_shapes(spec)
 
 
+def test_input_that_names_no_earlier_layer_is_rejected():
+    spec = NetworkSpec("dangling", (
+        Input("in", (), (1, 1, 3)),
+        Flatten("flat", ("nope",)),
+    ))
+    with pytest.raises(ShapeMismatchError, match="layer flat: input 'nope' names no earlier layer"):
+        infer_shapes(spec)
+    with pytest.raises(ShapeMismatchError, match="'nope'"):
+        compile_model(spec, init_seed=0)
+
+
 @pytest.mark.parametrize("layer", [
     Conv("conv", ("flat",), 1, 1, 4, 1),
     Pool("pool", ("flat",), 2, 2),
-    Inception("incep", ("flat",), InceptionSpec()),
+    Inception("incep", ("flat",)),
 ], ids=["conv", "pool", "inception"])
 def test_spatial_layer_on_a_flat_input_is_rejected(layer):
     spec = NetworkSpec("flat-then-spatial", (Input("in", (), (4, 4, 1)), Flatten("flat", ("in",)), layer))
