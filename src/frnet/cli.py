@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (FrnetError, MemoryError, OSError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

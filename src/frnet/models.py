@@ -16,6 +16,7 @@ stride-1 branch max-pooled down before the channel merge), a final
 inception block, and a dense head ending in a single sigmoid unit.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field, fields
 
@@ -24,7 +25,7 @@ import numpy as np
 from .autodiff import EVAL, TRAIN, Graph
 from .errors import ShapeMismatchError
 from .rng import INIT, stream
-from .tensor import CHUNK, Tensor
+from .tensor import CHUNK, Tensor, run_chunked
 
 DEEP_FEATURES = "deep-features"
 
@@ -388,10 +389,30 @@ def _lower(spec: NetworkSpec, g: Graph):
 
 
 def _glorot(rng, shape) -> Tensor:
-    """Glorot-uniform weight; fans count the kernel extents on both sides."""
+    """Glorot-uniform weight; fans count the kernel extents on both sides.
+
+    The bits are those of `rng.uniform(-bound, bound, size=shape)` rounded
+    to float32, and `rng` ends advanced past the whole weight. The draws go
+    CHUNK doubles at a time straight into the float32 array, over two
+    threads for a large weight (`run_chunked`): each piece draws from a copy
+    of `rng`'s PCG64 stream advanced to the piece's start, which is exact
+    because a double spends one 64-bit output (see `rng.stream`).
+    """
     fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor._wrap(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+    w = np.empty(shape, dtype=np.float32)
+    flat = w.reshape(-1)
+
+    def draw(lo, hi):
+        # rng itself is advanced only once both pieces have drawn
+        piece = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(lo))
+        for s in range(lo, hi, CHUNK):
+            e = min(s + CHUNK, hi)
+            np.copyto(flat[s:e], piece.uniform(-bound, bound, e - s), casting="same_kind")
+
+    run_chunked(flat.size, draw)
+    rng.bit_generator.advance(flat.size)
+    return Tensor._wrap(w)
 
 
 class CompiledModel:

@@ -16,7 +16,9 @@ filter. A convolution makes one matmul of that view; reshaping it copies the
 windows, except for a 1x1 filter at stride 1, whose rows are the input's
 pixels. Max pooling keeps a running maximum over the view's k*k window
 offsets. Both backwards call `_scatter`, which adds one adjoint term per
-window offset, in row-major order, into zeros and crops off the padding.
+window offset, in row-major order, into zeros of the input's shape: only the
+rows and columns whose windows read the unpadded input, and no term for an
+offset that reads only padding.
 The identity pool (kernel 1, stride 1) that every inception block holds
 returns its input, and its backward returns the upstream adjoint.
 
@@ -71,17 +73,33 @@ def _windows(x, fh, fw, stride, fill):
                       writeable=False)
 
 
+def _inside(offset, pad, extent, stride, out):
+    """The output positions [lo, hi) whose window, at `offset`, reads inside the unpadded extent."""
+    lo = max(-(-(pad - offset) // stride), 0)
+    hi = min(-(-(pad + extent - offset) // stride), out)
+    return lo, hi
+
+
 def _scatter(x_shape, fh, fw, stride, term, dtype):
-    """Add term(i, j) at every window offset, row-major, into SAME-padded zeros; crop to x_shape."""
+    """Add term(i, j) at every window offset, row-major, into zeros of x_shape.
+
+    Only the part of each term whose windows read the unpadded input is
+    added, and an offset that reads only SAME padding is skipped.
+    """
     b, h, w, c = x_shape
-    pt, pb, oh = same_pad(h, fh, stride)
-    pl, pr, ow = same_pad(w, fw, stride)
-    dxp = np.zeros((b, h + pt + pb, w + pl + pr, c), dtype=dtype)
+    pt, _, oh = same_pad(h, fh, stride)
+    pl, _, ow = same_pad(w, fw, stride)
+    dx = np.zeros(x_shape, dtype=dtype)
     for i in range(fh):
+        r0, r1 = _inside(i, pt, h, stride, oh)
         for j in range(fw):
-            win = dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-            win += term(i, j)
-    return dxp[:, pt : pt + h, pl : pl + w, :]
+            c0, c1 = _inside(j, pl, w, stride, ow)
+            if r0 < r1 and c0 < c1:
+                top, left = i + stride * r0 - pt, j + stride * c0 - pl
+                bottom, right = top + stride * (r1 - r0), left + stride * (c1 - c0)
+                win = dx[:, top:bottom:stride, left:right:stride, :]
+                win += term(i, j)[:, r0:r1, c0:c1, :]
+    return dx
 
 
 def _check_rank4(x, op):

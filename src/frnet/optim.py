@@ -31,7 +31,7 @@ class AdamState:
     v and master hold every parameter's elements back to back in that order.
     `adam_step` overwrites them in place: copy one to keep an earlier step's
     values. The parameters stay with their owner (the model); `init` copies
-    their values.
+    their values into master with one `run_chunked` gather.
     """
 
     lr: float = 0.001
@@ -43,9 +43,26 @@ class AdamState:
 
     @classmethod
     def init(cls, params: dict[str, Tensor], lr=0.001):
-        master = np.concatenate([p.data.reshape(-1) for p in params.values()] or [[]], dtype=np.float64)
+        flats = [p.data.reshape(-1) for p in params.values()]
+        starts = [0, *itertools.accumulate(a.size for a in flats)]
+        master = np.empty(starts[-1])
+
+        def gather(lo, hi):
+            for j, p, q in _spans(starts, lo, hi):
+                np.copyto(master[p:q], flats[j][p - starts[j] : q - starts[j]])
+
+        run_chunked(master.size, gather)
         return cls(lr, layout=tuple((name, p.shape) for name, p in params.items()),
                    m=np.zeros(master.size), v=np.zeros(master.size), master=master)
+
+
+def _spans(starts, lo, hi):
+    """Each parameter j that the flat range [lo, hi) spans, with the range [p, q) of it covered.
+
+    `starts` holds each parameter's flat offset, then the total.
+    """
+    return [(j, max(lo, starts[j]), min(hi, starts[j + 1]))
+            for j in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi))]
 
 
 def _unlock(a: np.ndarray) -> bool:
@@ -100,9 +117,7 @@ def adam_step(
             e = min(s + CHUNK, hi)
             gc, a = buf_g[: e - s], buf_a[: e - s]
             mc, vc, wc = state.m[s:e], state.v[s:e], state.master[s:e]
-            # each parameter the chunk spans, with the flat range [p, q) it covers
-            parts = [(j, max(s, starts[j]), min(e, starts[j + 1]))
-                     for j in range(bisect.bisect_right(starts, s) - 1, bisect.bisect_left(starts, e))]
+            parts = _spans(starts, s, e)
             for j, p, q in parts:
                 np.copyto(gc[p - s : q - s], gs[j][p - starts[j] : q - starts[j]])
             # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g^2

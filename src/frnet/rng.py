@@ -20,7 +20,13 @@ SYNTH = 5
 
 
 def stream(seed: int, purpose: int, *path: int) -> np.random.Generator:
-    """Return the PCG64 generator for (seed, purpose, path)."""
+    """Return the PCG64 generator for (seed, purpose, path).
+
+    `models._glorot` relies on this being PCG64: each double a `uniform`
+    draw returns spends exactly one 64-bit output, so `bit_generator.advance(n)`
+    skips n doubles, and a weight's draws can be split into pieces that each
+    start from an advanced copy of the stream.
+    """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, purpose, *path])))
 
 

@@ -20,10 +20,12 @@ Shape = tuple[int, ...]
 
 # Elements per slice of chunked work over float32 storage (Adam and the l2
 # penalty value in float64, the l2 gradient added into its weight's
-# gradient), which thereby builds no full-size temporary.
+# gradient, a weight's Glorot draws), which thereby builds no full-size
+# temporary.
 CHUNK = 1 << 16
 
-# Elements below which `run_chunked` stays on the calling thread. On the
+# Elements below which `run_chunked` (Adam's step and its state's init, and
+# a weight's Glorot draws) stays on the calling thread. On the
 # 2-core machine the benchmark was measured on, a helper thread and its
 # interpreter-lock handoffs cost about what the second core saves at 12
 # CHUNKs, while at 1272 CHUNKs (the paper-width FRnet-1 fc1/w) Adam drops

@@ -1,14 +1,17 @@
 """Shared test helpers: one-op graph evaluation, a finite-difference gradient
-checker for graph ops, a peak-allocation probe, the allocating backward pass
-and Adam update kept as bitwise references, and the settings of the fuzz
-tests."""
+checker for graph ops, a peak-allocation probe, a count of the helper
+threads `run_chunked` starts, the allocating backward pass and Adam update
+kept as bitwise references, and the settings of the fuzz tests."""
 
+import threading
 import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from frnet import tensor
 from frnet.autodiff import _REGISTRY, EVAL, TRAIN, Graph
 from frnet.tensor import Tensor
 
@@ -35,6 +38,21 @@ def peak_alloc(fn):
     finally:
         tracemalloc.stop()
     return out, peak - base
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """Count the helper threads `run_chunked` starts, with two usable CPUs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(tensor.threading, "Thread", Counted)
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    return started
 
 
 def run_op(kind: str, *inputs, mode: str = EVAL, dropout_seed: int = 0, **attrs) -> np.ndarray:

@@ -179,14 +179,15 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_out_of_memory_is_one_error_line(self, dataset_file, tmp_path):
-        # the 768 x 1000000 float64 draw of fc1's weights cannot fit under a
-        # 3 GiB address-space cap on the child process
+        # fc1's 768 x 2000000 float32 weights (5.7 GiB) cannot fit under a
+        # 3 GiB address-space cap on the child process, so the first
+        # allocation of them fails at once
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         src = os.path.dirname(os.path.dirname(data.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        flags = tiny_flags(dataset_file, tmp_path, **{"ae-hidden": "1000000,1000000"})
+        flags = tiny_flags(dataset_file, tmp_path, **{"ae-hidden": "2000000,1000000"})
         proc = subprocess.run([sys.executable, "-m", "frnet.cli", "train-ae", *flags], env=env,
                               preexec_fn=cap, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
@@ -199,6 +200,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_ingest", out_of_memory)
         assert main(["ingest"]) == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_an_interrupt_is_one_error_line(self, monkeypatch, capsys):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_ingest", interrupted)
+        assert main(["ingest"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: interrupted\n" and "Traceback" not in err
 
     def test_failed_write_is_a_runtime_failure(self, dataset_file, tmp_path, monkeypatch, capsys):
         def full(fd):

@@ -1,9 +1,12 @@
-"""Network builders: shape traces, parameter counts, extraction."""
+"""Network builders: shape traces, parameter counts, weight init, extraction."""
+
+import math
 
 import numpy as np
 import pytest
 
 from conftest import GRAD_STEP, GRAD_TOL, peak_alloc
+from frnet import tensor
 from frnet.autodiff import TRAIN, Graph
 from frnet.errors import ShapeMismatchError
 from frnet.models import (
@@ -17,6 +20,7 @@ from frnet.models import (
     NetworkSpec,
     Pool,
     _add_l2_grad,
+    _glorot,
     _l2_value,
     build_frnet1,
     build_frnet2,
@@ -28,7 +32,8 @@ from frnet.models import (
     spec_from_dict,
     spec_to_dict,
 )
-from frnet.tensor import Tensor
+from frnet.rng import INIT, stream
+from frnet.tensor import CHUNK, PARALLEL_MIN, Tensor
 
 FRNET1_TRACE = {
     "in": (211, 7, 1),
@@ -234,6 +239,40 @@ def test_compile_is_seed_deterministic():
     c = compile_model(spec, init_seed=6).params()
     assert all(a[k] == b[k] for k in a)
     assert any(a[k] != c[k] for k in a)
+
+
+def _glorot_reference(rng, shape):
+    # the one-call draw _glorot replaced: every double at once, then rounded
+    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("shape", [
+    (3, 5), (1, 1, 4, 8), (3, CHUNK // 2 + 7), (2, 2, 4, CHUNK // 8 + 3),
+    (PARALLEL_MIN // 4, 4), (3, PARALLEL_MIN // 2 + 5), (1, 1, 32, 17 * CHUNK // 32 + 1),
+], ids=["small", "small-kernel", "straddling-chunks", "kernel-straddling-chunks",
+        "at-threshold", "above-threshold", "kernel-above-threshold"])
+def test_glorot_is_bitwise_the_one_call_draw(shape, cpus, helper_threads, monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: cpus)
+    got_rng, want_rng = stream(11, INIT), stream(11, INIT)
+    got_rng.uniform(size=3), want_rng.uniform(size=3)  # a stream part way through
+    got, want = _glorot(got_rng, shape), _glorot_reference(want_rng, shape)
+    assert got.shape == shape and got.data.dtype == np.float32
+    assert got.data.tobytes() == want.tobytes()
+    # the stream ends past the whole weight, so every later draw keeps its bits
+    assert got_rng.uniform(size=5).tobytes() == want_rng.uniform(size=5).tobytes()
+    assert len(helper_threads) == (1 if math.prod(shape) >= PARALLEL_MIN and len(cpus) > 1 else 0)
+
+
+def test_compiled_weights_are_the_init_streams_one_call_draws():
+    spec = build_frnet2(feature_count=64, hidden=(16, 8))
+    model = compile_model(spec, init_seed=4)
+    rng = stream(4, INIT)
+    for name, p in model.params().items():  # creation order
+        want = _glorot_reference(rng, p.shape) if p.data.ndim > 1 else np.zeros(p.shape, np.float32)
+        assert p.data.tobytes() == want.tobytes(), name
 
 
 def test_train_step_returns_gradients_for_all_parameters():

@@ -386,7 +386,10 @@ def test_conv2d_1x1_is_bitwise_the_generic_path(x_shape, cout, stride, precision
 
 @pytest.mark.parametrize(
     "x_shape, fshape, stride",
-    [((2, 9, 5, 3), (3, 3, 3, 4), 2), ((1, 6, 6, 2), (5, 5, 2, 3), 1), ((2, 4, 4, 2), (2, 2, 2, 2), 2)],
+    [((2, 9, 5, 3), (3, 3, 3, 4), 2), ((1, 6, 6, 2), (5, 5, 2, 3), 1), ((2, 4, 4, 2), (2, 2, 2, 2), 2),
+     # 5x5 filters wider than the input: offsets that read only padding
+     ((2, 2, 2, 3), (5, 5, 3, 4), 1), ((2, 2, 2, 3), (5, 5, 3, 4), 2),
+     ((2, 53, 2, 4), (5, 5, 4, 3), 1), ((2, 53, 2, 4), (5, 5, 4, 3), 2)],
 )
 def test_conv2d_kxk_is_bitwise_the_padded_reference(x_shape, fshape, stride):
     rng = np.random.default_rng(3)
@@ -395,6 +398,7 @@ def test_conv2d_kxk_is_bitwise_the_padded_reference(x_shape, fshape, stride):
     b = rng.standard_normal(fshape[3]).astype(np.float32)
     oh, ow = math.ceil(x_shape[1] / stride), math.ceil(x_shape[2] / stride)
     up = _upstream(rng, (x_shape[0], oh, ow, fshape[3]), np.float32)
+    up[0, 0, 0, :] = -0.0  # a pixel whose whole adjoint is -0.0
     y, grads = _graph_op("conv2d", [x, w, b], up, "single", stride=stride)
     want_y, want_grads = _ref_conv(x, w, b, stride, up)
     _assert_same_bytes(y, want_y)
@@ -423,6 +427,7 @@ def _tie_windows(shape, rng):
      ((1, 6, 9, 2), 3, 3), ((1, 2, 2, 3), 2, 2), ((2, 5, 4, 3), 1, 2),
      # padded windows (odd extents) and overlapping ones
      ((1, 5, 5, 2), 2, 2), ((2, 7, 4, 3), 2, 2), ((2, 4, 5, 2), 2, 2), ((2, 6, 6, 2), 3, 2),
+     ((2, 2, 2, 3), 3, 1), ((2, 53, 2, 4), 3, 2),
      # identity
      ((2, 53, 2, 32), 1, 1), ((1, 4, 4, 2), 1, 1)],
 )

@@ -30,6 +30,23 @@ def test_state_init_matches_parameter_shapes():
     assert state.lr == 0.001 and (BETA1, BETA2, EPSILON) == (0.9, 0.999, 1e-8)
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("shapes", [
+    {"w": (3, 2), "b": (2,)},
+    {"a": (CHUNK - 3,), "b": (7,), "c": (5, CHUNK // 4 + 1), "e": (3, 2 * CHUNK + 1)},
+    {"w": (PARALLEL_MIN,)},
+    {"a": (CHUNK + 1,), "w": (3, PARALLEL_MIN // 2 + 5), "b": (2,)},
+], ids=["small", "straddling-chunks", "at-threshold", "above-threshold-split-inside-a-parameter"])
+def test_init_master_is_bitwise_the_concatenated_parameters(shapes, cpus, helper_threads, monkeypatch):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: cpus)
+    rng = np.random.default_rng(63)
+    params = {name: Tensor(rng.standard_normal(s).astype(np.float32)) for name, s in shapes.items()}
+    state = AdamState.init(params)
+    want = np.concatenate([p.data.reshape(-1) for p in params.values()], dtype=np.float64)
+    assert state.master.dtype == np.float64 and state.master.tobytes() == want.tobytes()
+    assert len(helper_threads) == (1 if want.size >= PARALLEL_MIN and len(cpus) > 1 else 0)
+
+
 def test_first_step_magnitude_is_lr():
     for g in (2.5, -0.03, 1e4):
         params = {"x": Tensor([1.0, 1.0])}
@@ -175,11 +192,13 @@ def test_rejected_adam_step_leaves_state_untouched():
         assert not params["a"].data.flags.writeable
 
 
-def _adam_against_reference(n, steps, seed, shapes=None):
+def _adam_against_reference(n, steps, seed, shapes=None, threads=None):
     rng = np.random.default_rng(seed)
     shapes = shapes or {"w": (n,), "b": (2,)}
     params = {name: Tensor(rng.standard_normal(s).astype(np.float32)) for name, s in shapes.items()}
     got_state = AdamState.init(params, lr=0.01)
+    if threads is not None:
+        threads.clear()  # count only the steps' helper threads, not init's
     ref_state = ReferenceAdamState.init(params, lr=0.01)
     got = ref = params
     for step in range(steps):
@@ -191,21 +210,6 @@ def _adam_against_reference(n, steps, seed, shapes=None):
         _assert_bitwise_equal(got, got_state, ref, ref_state)
 
 
-@pytest.fixture
-def helper_threads(monkeypatch):
-    """Count the helper threads `run_chunked` starts, with two usable CPUs."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(tensor.threading, "Thread", Counted)
-    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
-    return started
-
-
 @pytest.mark.parametrize(
     "n",
     [PARALLEL_MIN - 1, PARALLEL_MIN, PARALLEL_MIN + 1, 17 * CHUNK - 1, 17 * CHUNK + 1, 23 * CHUNK + 3],
@@ -213,7 +217,7 @@ def helper_threads(monkeypatch):
 )
 def test_threaded_adam_is_bitwise_equal_to_allocating_formula(n, helper_threads):
     # the range is the model's total, the 2-element bias included
-    _adam_against_reference(n, steps=4, seed=n)
+    _adam_against_reference(n, steps=4, seed=n, threads=helper_threads)
     assert len(helper_threads) == (0 if n + 2 < PARALLEL_MIN else 4)
 
 
@@ -227,7 +231,7 @@ def test_small_parameters_straddling_chunks_and_the_split_stay_bitwise_equal(hel
     mid = (total + CHUNK) // (2 * CHUNK) * CHUNK
     starts = np.cumsum([0] + [math.prod(s) for s in shapes.values()])
     assert mid not in starts and mid % CHUNK == 0  # the split falls inside a parameter
-    _adam_against_reference(0, steps=5, seed=61, shapes=shapes)
+    _adam_against_reference(0, steps=5, seed=61, shapes=shapes, threads=helper_threads)
     assert len(helper_threads) == 5
 
 
@@ -257,6 +261,7 @@ def test_adam_worker_exception_surfaces(monkeypatch, helper_threads):
     n = PARALLEL_MIN + 7
     params = {"w": Tensor(np.ones(n, dtype=np.float32))}
     state = AdamState.init(params)
+    helper_threads.clear()
     sqrt = np.sqrt
 
     def sqrt_failing_off_the_main_thread(*args, **kwargs):
