@@ -319,7 +319,8 @@ def make_folds(d: Dataset, k: int = 5, seed: int = 0, stratified: bool = True) -
     Stratified mode shuffles each class separately and deals rows round-robin
     with one running counter, so fold sizes differ by at most one and per-fold
     positive counts differ by at most one. Plain mode shuffles all rows
-    together (fold sizes still balanced, class mix left to chance).
+    together (fold sizes still balanced, class mix left to chance). Both
+    need k positives and k negatives: with fewer, some test fold lacks a class.
     """
     n = len(d)
     pos = d.positives
@@ -327,8 +328,8 @@ def make_folds(d: Dataset, k: int = 5, seed: int = 0, stratified: bool = True) -
         raise DataError(f"need at least 2 folds, got {k}")
     if pos < k:
         raise DataError(f"{pos} positive instances cannot stratify {k} folds")
-    if n < k:
-        raise DataError(f"{n} rows cannot fill {k} folds")
+    if n - pos < k:
+        raise DataError(f"{n - pos} negative instances cannot stratify {k} folds")
     rng = stream(seed, FOLDS)
     assignments = np.empty(n, dtype=np.int64)
     if stratified:

@@ -476,43 +476,36 @@ class CompiledModel:
         grads_by_id = g.backward(self.loss_id)
         total = data
         for w, scale in self.l2_terms:
-            value, dw = g.nodes[w].value.data, grads_by_id[w].data
-            total = total + _l2_value(value, scale)
+            dw = grads_by_id[w].data
             dw.flags.writeable = True  # the graph's own buffer, read-only to holders
-            _add_l2_grad(value, scale, dw)
+            total = total + _add_l2(g.nodes[w].value.data, scale, dw)
             dw.flags.writeable = False
         grads = {name: grads_by_id[i] for name, i in self.param_ids.items()}
         return float(total[0]), float(data[0]), grads
 
 
-def _l2_value(w, scale):
-    """scale * sum(w^2) as a one-element array of w's dtype.
+def _add_l2(w, scale, into):
+    """Add the l2 penalty's gradient c * w into `into`; return scale * sum(w^2).
 
-    The sum of squares is taken in float64 over flat chunks, added in chunk
-    order, so it builds no full-size float64 temporary.
-    """
-    flat, buf = w.reshape(-1), np.empty(CHUNK)
-    total = 0.0
-    for s in range(0, flat.size, CHUNK):
-        c = buf[: min(CHUNK, flat.size - s)]
-        np.copyto(c, flat[s : s + CHUNK])
-        total += np.square(c, out=c).sum()
-    return np.array([scale * total], dtype=w.dtype)
-
-
-def _add_l2_grad(w, scale, into):
-    """Add the penalty's gradient c * w into `into`, one CHUNK at a time.
-
-    c = 1.0 * 2.0 * scale in w's dtype, 1.0 being the loss adjoint. `into` is
-    C-contiguous, writeable and of w's shape and dtype; the sum goes through
-    one scratch buffer and has the bits of `into + c * w`.
+    One pass over flat CHUNKs: each adds its float64 sum of squares to the
+    total, in chunk order, and its c * w into `into`, so no full-size
+    temporary is built. c = 1.0 * 2.0 * scale in w's dtype, 1.0 being the
+    loss adjoint. `into` is C-contiguous, writeable and of w's shape and
+    dtype; it ends with the bits of `into + c * w`. The value is a
+    one-element array of w's dtype.
     """
     c = w.dtype.type(1.0) * 2.0 * scale
     flat, acc = w.reshape(-1), into.reshape(-1)
-    buf = np.empty(min(CHUNK, flat.size), dtype=into.dtype)
+    n = min(CHUNK, flat.size)
+    squares, terms = np.empty(n), np.empty(n, dtype=into.dtype)
+    total = 0.0
     for s in range(0, flat.size, CHUNK):
-        a = acc[s : s + CHUNK]
-        np.add(a, np.multiply(flat[s : s + CHUNK], c, out=buf[: a.size]), out=a)
+        part, a = flat[s : s + CHUNK], acc[s : s + CHUNK]
+        sq = squares[: part.size]
+        np.copyto(sq, part)
+        total += np.square(sq, out=sq).sum()
+        np.add(a, np.multiply(part, c, out=terms[: part.size]), out=a)
+    return np.array([scale * total], dtype=w.dtype)
 
 
 def compile_model(spec: NetworkSpec, init_seed: int, random_init: bool = True) -> CompiledModel:

@@ -1,9 +1,11 @@
 """Neural operators, registered with the graph engine on import.
 
-Each kind (2-D convolution, max pooling, matmul, bias add, activations,
-dropout, shape ops, elementwise arithmetic, reductions and the BCE loss) is
-one forward kernel and one backward rule. They run as graph nodes: build a
-`Graph`, `apply` the kind, and call `forward`.
+Each kind is one forward kernel and one backward rule. They run as graph
+nodes: build a `Graph`, `apply` the kind, and call `forward`. The twelve
+kinds are the ones something uses. The FRnet-1 and FRnet-2 graphs apply ten:
+conv2d, maxpool2d, matmul, bias_add, relu, sigmoid, dropout, flatten, concat
+and bce. The gradient checks build their loss from two more, mul and
+reduce_sum.
 
 Cross-correlation convention (no kernel flip). SAME padding on each spatial
 axis: output extent = ceil(input / stride); total pad = max((out-1)*stride
@@ -37,8 +39,6 @@ gradient straight into it (`np.matmul(..., out=)`, `.sum(..., out=)`, which
 give the same bytes as the allocating forms), so a training step after the
 first allocates no weight-sized gradient; the other rules ignore it.
 """
-
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -271,7 +271,7 @@ def _dropout_bwd(grad, args, out, saved, attrs, bufs=None):
 
 
 # ---------------------------------------------------------------------------
-# shape ops
+# flatten and channel concat
 
 
 def _flatten_fwd(args, attrs, ctx):
@@ -281,20 +281,6 @@ def _flatten_fwd(args, attrs, ctx):
 
 
 def _flatten_bwd(grad, args, out, saved, attrs, bufs=None):
-    (x,) = args
-    return (grad.reshape(x.shape),)
-
-
-def _reshape_fwd(args, attrs, ctx):
-    # item_shape excludes the batch axis so one graph serves any batch size
-    (x,) = args
-    item = tuple(attrs["item_shape"])
-    if math.prod(x.shape[1:]) != math.prod(item):
-        raise ShapeMismatchError(f"cannot reshape items of {x.shape} into {item}")
-    return x.reshape((x.shape[0],) + item), None
-
-
-def _reshape_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (grad.reshape(x.shape),)
 
@@ -316,24 +302,12 @@ def _concat_bwd(grad, args, out, saved, attrs, bufs=None):
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic (strict shapes, no broadcasting)
+# elementwise product (strict shapes, no broadcasting)
 
 
 def _same_shape(a, b, op):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _add_fwd(args, attrs, ctx):
-    a, b = args
-    _same_shape(a, b, "add")
-    return a + b, None
-
-
-def _sub_fwd(args, attrs, ctx):
-    a, b = args
-    _same_shape(a, b, "sub")
-    return a - b, None
 
 
 def _mul_fwd(args, attrs, ctx):
@@ -342,21 +316,13 @@ def _mul_fwd(args, attrs, ctx):
     return a * b, None
 
 
-def _add_bwd(grad, args, out, saved, attrs, bufs=None):
-    return grad, grad
-
-
-def _sub_bwd(grad, args, out, saved, attrs, bufs=None):
-    return grad, -grad
-
-
 def _mul_bwd(grad, args, out, saved, attrs, bufs=None):
     a, b = args
     return grad * b, grad * a
 
 
 # ---------------------------------------------------------------------------
-# reductions and losses
+# sum and the BCE loss
 
 
 def _sum_fwd(args, attrs, ctx):
@@ -367,16 +333,6 @@ def _sum_fwd(args, attrs, ctx):
 def _sum_bwd(grad, args, out, saved, attrs, bufs=None):
     (x,) = args
     return (np.full(x.shape, grad[0], dtype=grad.dtype),)
-
-
-def _mean_fwd(args, attrs, ctx):
-    (x,) = args
-    return np.array([x.mean(dtype=np.float64)], dtype=x.dtype), None
-
-
-def _mean_bwd(grad, args, out, saved, attrs, bufs=None):
-    (x,) = args
-    return (np.full(x.shape, grad[0] / x.size, dtype=grad.dtype),)
 
 
 BCE_EPS = 1e-7  # predictions are clipped to [BCE_EPS, 1 - BCE_EPS] before the logs
@@ -413,12 +369,8 @@ register_op("relu", _relu_fwd, _relu_bwd)
 register_op("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 register_op("dropout", _dropout_fwd, _dropout_bwd)
 register_op("flatten", _flatten_fwd, _flatten_bwd)
-register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("concat", _concat_fwd, _concat_bwd)
-register_op("add", _add_fwd, _add_bwd)
-register_op("sub", _sub_fwd, _sub_bwd)
 register_op("mul", _mul_fwd, _mul_bwd)
 register_op("reduce_sum", _sum_fwd, _sum_bwd)
-register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("bce", _bce_fwd, _bce_bwd)
 

@@ -173,15 +173,16 @@ def config_digest(cfg: RunConfig) -> str:
 
 def parse_pair(text: str, what: str) -> tuple[int, int]:
     """'211x7' or '4096,2048' -> (211, 7); both separators accepted."""
-    for sep in ("x", ","):
-        if sep in text:
-            parts = text.split(sep)
-            if len(parts) == 2:
-                try:
-                    return int(parts[0]), int(parts[1])
-                except ValueError:
-                    break
-    raise ConfigError(f"{what}: expected two integers like '211x7', got {text!r}")
+    return _int_pair(text.split("x" if "x" in text else ","), what, text)
+
+
+def _int_pair(parts, what: str, raw) -> tuple[int, int]:
+    """Two entries, each the text of an integer, as ints (so 1.5 is refused, not truncated)."""
+    try:
+        a, b = (int(str(p)) for p in parts)
+    except ValueError:
+        raise ConfigError(f"{what}: expected two integers like '211x7', got {raw!r}") from None
+    return a, b
 
 
 def config_from_dict(values: dict, base: RunConfig | None = None) -> RunConfig:
@@ -215,9 +216,7 @@ def config_from_dict(values: dict, base: RunConfig | None = None) -> RunConfig:
                 raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
         elif isinstance(current, tuple):
             if isinstance(raw, (list, tuple)):
-                if len(raw) != 2:
-                    raise ConfigError(f"{key}: expected two integers")
-                updates[attr] = (int(raw[0]), int(raw[1]))
+                updates[attr] = _int_pair(raw, key, raw)
             else:
                 updates[attr] = parse_pair(str(raw), key)
         else:
@@ -470,6 +469,9 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
     cfg.validate()
     d = read_feature_file(features_path)
     out = _ensure_out_dir(cfg)
+    if math.isqrt(d.feature_count) ** 2 != d.feature_count:
+        raise DataError(f"{features_path}: width {d.feature_count} is not a perfect square; "
+                        "the classifier views each row as a square image")
     model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
     ckpt_path = os.path.join(out, "clf.ckpt")
     log_path = os.path.join(out, "clf_train_log.tsv")
@@ -483,6 +485,15 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
     cfg.require_square_representation()
     d = _resolve_dataset(cfg, dataset)
     cfg.require_orientation(d.feature_count)
+    # every fold of every repeat is checked before any model trains
+    plans = [make_folds(d, k=cfg.folds, seed=derive_key(cfg.seed, FOLDS, r), stratified=cfg.stratified)
+             for r in range(cfg.repeats)]
+    for r, plan in enumerate(plans):
+        for f in range(cfg.folds):
+            for side in (plan.train_indices(f), plan.test_indices(f)):
+                if not 0 < d.labels[side].sum() < side.size:
+                    raise PipelineError(f"repeat {r} fold {f}: a side is without positives or "
+                                        "negatives; use stratified folds")
     models_dir = _ensure_out_dir(cfg, "models")
     curves_dir = _ensure_out_dir(cfg, "curves")
     logs_dir = _ensure_out_dir(cfg, "logs")
@@ -498,9 +509,7 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
 
     fold_metrics: list[dict] = []
     curve_files: list[str] = []
-    for r in range(cfg.repeats):
-        plan = make_folds(d, k=cfg.folds, seed=derive_key(cfg.seed, FOLDS, r),
-                          stratified=cfg.stratified)
+    for r, plan in enumerate(plans):
         for f in range(cfg.folds):
             try:
                 fm, files = _run_fold(
@@ -550,9 +559,6 @@ def _run_fold(
     test_idx = plan.test_indices(f)
     train_labels = d.labels[train_idx]
     test_labels = d.labels[test_idx]
-    if train_labels.sum() == 0 or test_labels.sum() == 0:
-        raise DataError(f"fold {f} leaves a side without positives; use stratified folds")
-
     files = {"curves": [], "checkpoints": []}
     if global_ae is not None:
         ae, record = global_ae

@@ -86,7 +86,8 @@ class Tensor:
     Holders never write through a tensor. Two owners do, in place: a model's
     parameter tensors are overwritten by `optim.adam_step`, and the gradient
     tensors `Graph.backward` returns are views of buffers that the graph's
-    next backward pass overwrites. Every other tensor never changes.
+    next backward pass overwrites. Every other tensor never changes. Tensors
+    compare and hash by identity; compare their `data` to compare values.
     """
 
     __slots__ = ("_a",)
@@ -148,14 +149,4 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self._a.dtype.name})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and self.shape == other.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self._a.tobytes()))
 

@@ -224,12 +224,24 @@ def allocating_adam_step(params, grads, state):
     return out
 
 
+def soft_target(rng: np.random.Generator, pred: np.ndarray) -> np.ndarray:
+    """Soft bce targets 0.10-0.14 from `pred`, clipped to [0, 1].
+
+    |pred - target| stays bounded below: where they nearly coincide the true
+    per-element gradient vanishes and the fd comparison is pure truncation
+    noise.
+    """
+    offset = rng.uniform(0.1, 0.14, pred.size) * rng.choice([-1.0, 1.0], pred.size)
+    return np.clip(pred + offset, 0.0, 1.0)
+
+
 def gradcheck_cases() -> list[dict]:
     """One entry per gradient-check instance, covering every operator kind.
 
     Inputs are chosen to keep the loss smooth within +-GRAD_STEP of the
     sample point: relu inputs stay away from 0, maxpool inputs are distinct
-    with gaps far above the step, bce predictions stay inside the clip band.
+    with gaps far above the step, bce predictions stay inside the clip band
+    and soft targets away from the prediction.
     """
     rng = np.random.default_rng(42)
 
@@ -264,16 +276,12 @@ def gradcheck_cases() -> list[dict]:
         dict(kind="dropout", inputs=[rand(3, 3)], attrs={"keep_prob": 0.5, "key": DROPOUT_KEY},
              mode=EVAL),
         dict(kind="flatten", inputs=[rand(2, 3, 2, 2)]),
-        dict(kind="reshape", inputs=[rand(2, 6)], attrs={"item_shape": (3, 2, 1)}),
         dict(kind="concat", inputs=[rand(2, 3, 2, 1), rand(2, 3, 2, 4), rand(2, 3, 2, 2)]),
-        dict(kind="add", inputs=[rand(3, 3), rand(3, 3)]),
-        dict(kind="sub", inputs=[rand(3, 3), rand(3, 3)]),
         dict(kind="mul", inputs=[rand(3, 3), rand(3, 3)]),
         dict(kind="reduce_sum", inputs=[rand(4, 3)]),
-        dict(kind="reduce_mean", inputs=[rand(2, 3, 4)]),
         dict(kind="bce", inputs=[rand(8, lo=0.1, hi=0.9),
                                  rng.integers(0, 2, 8).astype(np.float64)]),
-        dict(kind="bce", inputs=[rand(5, lo=0.2, hi=0.8), rand(5, lo=0.0, hi=1.0)]),
+        dict(kind="bce", inputs=[pred := rand(5, lo=0.2, hi=0.8), soft_target(rng, pred)]),
     ]
 
 
@@ -331,30 +339,22 @@ def random_gradcheck_case(kind: str, rng: np.random.Generator) -> dict:
         )
     if kind == "flatten":
         return dict(kind=kind, inputs=[rand(d(1, 3), d(1, 3), d(1, 3), d(1, 3))])
-    if kind == "reshape":
-        a, b, c = d(1, 3), d(1, 3), d(1, 3)
-        return dict(kind=kind, inputs=[rand(d(1, 3), a * b * c)],
-                    attrs={"item_shape": (a, b, c)})
     if kind == "concat":
         n, h, w = d(1, 2), d(1, 3), d(1, 3)
         return dict(kind=kind,
                     inputs=[rand(n, h, w, d(1, 3)) for _ in range(d(2, 4))])
-    if kind in ("add", "sub", "mul"):
+    if kind == "mul":
         shape = tuple(int(s) for s in rng.integers(1, 5, size=d(1, 2)))
         return dict(kind=kind, inputs=[rand(*shape), rand(*shape)])
-    if kind in ("reduce_sum", "reduce_mean"):
+    if kind == "reduce_sum":
         shape = tuple(int(s) for s in rng.integers(1, 4, size=d(1, 3)))
         return dict(kind=kind, inputs=[rand(*shape)])
     if kind == "bce":
-        # keep |pred - target| bounded below: where they nearly coincide the
-        # true per-element gradient vanishes and the fd comparison is pure
-        # truncation noise
         n = d(2, 8)
         pred = rand(n, lo=0.15, hi=0.85)
         if rng.random() < 0.5:
             target = rng.integers(0, 2, n).astype(np.float64)
         else:
-            offset = rng.uniform(0.1, 0.14, n) * rng.choice([-1.0, 1.0], n)
-            target = np.clip(pred + offset, 0.0, 1.0)
+            target = soft_target(rng, pred)
         return dict(kind=kind, inputs=[pred, target])
     raise ValueError(f"no random case for op kind {kind!r}")

@@ -159,6 +159,14 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: out-dir: ") and len(err.splitlines()) == 1, err
 
+    def test_train_clf_on_a_non_square_feature_file_exits_one(self, dataset_file, tmp_path, capsys):
+        rc = main(["train-clf", *tiny_flags(dataset_file, tmp_path), "--features", dataset_file])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {dataset_file}: width 48 is not a perfect square; " \
+                      "the classifier views each row as a square image\n"
+        assert not (tmp_path / "clf.ckpt").exists()
+
     def test_unknown_dataset_format_names_both_formats(self, tmp_path, capsys):
         p = tmp_path / "s.txt"
         p.write_text("1 0:0.5 3:2.0\n0 1:1.5\n")

@@ -377,6 +377,9 @@ def test_fold_preconditions():
         make_folds(_dataset(20, 10), k=1)
     with pytest.raises(DataError):
         make_folds(_dataset(4, 4, width=2), k=5)
+    for stratified in (True, False):
+        with pytest.raises(DataError, match="4 negative instances cannot stratify 5 folds"):
+            make_folds(_dataset(20, 16), k=5, stratified=stratified)
 
 
 def test_plain_mode_balances_sizes_only():

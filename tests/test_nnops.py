@@ -8,7 +8,7 @@ import pytest
 from conftest import DROPOUT_KEY, GRAD_TOL, gradcheck_cases, op_gradcheck, peak_alloc, run_op
 from frnet.autodiff import EVAL, TRAIN, Graph
 from frnet.errors import GraphError, ShapeMismatchError
-from frnet.models import Conv, Input, NetworkSpec, _l2_value, infer_shapes
+from frnet.models import Conv, Input, NetworkSpec, _add_l2, infer_shapes
 from frnet.nnops import same_pad
 from frnet.tensor import CHUNK, Tensor
 
@@ -214,7 +214,7 @@ def test_flatten_row_major_and_inverse():
     assert run_op("flatten", np.zeros((3, 53, 2, 192))).shape == (3, 20352)
     rng = np.random.default_rng(16)
     t = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-    assert np.array_equal(run_op("reshape", run_op("flatten", t), item_shape=(3, 4, 5)), t)
+    assert np.array_equal(run_op("flatten", t).reshape(2, 3, 4, 5), t)
     with pytest.raises(ShapeMismatchError):
         run_op("flatten", np.zeros((2, 3)))
 
@@ -239,14 +239,15 @@ def test_operator_gradients_match_finite_differences(case):
     assert err < GRAD_TOL
 
 
-# The l2 penalty's value, private to models.train_step_grads: its summation
-# order fixes the reported loss bits. Its gradient is checked in test_models.
+# The l2 penalty, private to models.train_step_grads: the summation order of
+# its value fixes the reported loss bits. Its gradient is checked against
+# finite differences of the value in test_models.
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (1 << 16,), (700, 300)])
 def test_l2_penalty_value_matches_float64_sum_of_squares(shape):
     w = np.random.default_rng(4).standard_normal(shape).astype(np.float32)
-    got = float(_l2_value(w.astype(np.float64), 1.0)[0])
+    got = float(_add_l2(w.astype(np.float64), 1.0, np.zeros(shape))[0])
     want = float(np.sum(np.square(w, dtype=np.float64)))
     assert abs(got - want) <= 1e-12 * want
 
@@ -270,14 +271,18 @@ def test_l2_penalty_value_is_bitwise_equal_to_the_sequential_chunk_loop(n, dtype
     rng = np.random.default_rng(n)
     # magnitudes over many binades, so that any change in summation order shows
     w = (rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)).astype(dtype)
-    got = _l2_value(w, 0.001)
+    grad = rng.standard_normal(n).astype(dtype)
+    want_grad = grad + dtype(1.0) * 2.0 * 0.001 * w
+    got = _add_l2(w, 0.001, grad)
     assert got.tobytes() == _sequential_l2_value(w, 0.001).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_l2_penalty_forward_builds_no_full_size_temporary():
     w = np.random.default_rng(5).standard_normal((2048, 1024)).astype(np.float32)
-    _, peak = peak_alloc(lambda: _l2_value(w, 0.001))
-    assert peak < 2**20, f"l2_penalty forward peaked at {peak / 2**20:.2f} MB"
+    grad = np.zeros_like(w)
+    _, peak = peak_alloc(lambda: _add_l2(w, 0.001, grad))
+    assert peak < 2**20, f"l2 penalty peaked at {peak / 2**20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ from frnet.synth import synth_blobs
 from frnet.tensor import Tensor
 
 
+def _files_under(path) -> list[str]:
+    return [os.path.join(root, name) for root, _, names in os.walk(path) for name in names]
+
+
 def tiny_cfg(out_dir, **overrides) -> RunConfig:
     base = dict(
         orientation=(7, 7),
@@ -186,6 +190,8 @@ class TestRunConfig:
             ({"stratified": "maybe"}, "expected a boolean"),
             ({"orientation": "7"}, "two integers"),
             ({"ae-hidden": [1, 2, 3]}, "two integers"),
+            ({"orientation": ["a", "b"]}, "two integers"),
+            ({"ae-hidden": [1.5, 2]}, "two integers"),
         ],
     )
     def test_from_dict_rejects(self, values, phrase):
@@ -591,6 +597,16 @@ class TestCvRun:
                        epochs_ae=0, epochs_clf=0)
         with pytest.raises(PipelineError, match=rf"repeat 0 fold {bad_fold}:"):
             cmd_cv_run(cfg, dataset=d)
+        # every fold is checked before any fold trains
+        assert _files_under(tmp_path / "models") == []
+
+    def test_too_few_negatives_for_the_folds_is_a_data_error(self, tmp_path):
+        # 36 positives and 4 negatives: some test fold of 5 would hold no negative
+        d = synth_blobs(n=40, width=48, positive_fraction=0.9, seed=3)
+        assert (d.positives, len(d) - d.positives) == (36, 4)
+        with pytest.raises(DataError, match="4 negative instances cannot stratify 5 folds"):
+            cmd_cv_run(tiny_cfg(tmp_path, folds=5), dataset=d)
+        assert _files_under(tmp_path / "models") == []
 
 
 # ---------------------------------------------------------------------------
