@@ -3,13 +3,21 @@
 Byte layout (all integers little-endian, documented for reimplementation):
 
     bytes 0..3    magic "FRNT"
-    bytes 4..7    u32 format version (currently 1)
+    bytes 4..7    u32 format version (currently 2)
     bytes 8..11   u32 header length H
     bytes 12..    H bytes of UTF-8 JSON (sorted keys, no whitespace)
     ...           payload sections, in header-manifest order:
                     parameters      raw float32, row-major
                     scaling mins then maxs, raw float32
-    last 8 bytes  first 8 bytes of SHA-256 over everything before them
+    last 8 bytes  block checksum of everything before them
+
+The block checksum (header key "checksum": "sha256-blocks-64") cuts the
+bytes it covers into consecutive blocks of HASH_BLOCK = 8 MiB, the last one
+possibly shorter, and is the first 8 bytes of the SHA-256 of the blocks'
+SHA-256 digests joined in order. The block size is part of the format.
+Version 1 files are still read: their header names "sha256-64" and their
+last 8 bytes are the first 8 bytes of one SHA-256 over everything before
+them. Saves write version 2.
 
 The header carries the model kind, seed, config digest, the full network
 spec, and a manifest naming every payload array with its shape, so a load
@@ -19,21 +27,23 @@ disagreement raises CheckpointError and yields no partial state. There is
 no optimizer section; the `"optimizer": null` key that older writers put in
 the header is ignored.
 
-A load reads the file once, in 8 MB chunks, into one buffer placed so that
-the payload starts on a 64-byte boundary; a helper thread hashes each chunk
-while the next is read. Parameters come back as aligned, C-contiguous
-float32 views into that buffer, not copies; the small scaling arrays are
-copied, so a scaling record alone does not keep the buffer alive. A file
-that ends early or grows while it is read, or that is too large to hold in
-memory, is a CheckpointError. A save writes and hashes each section straight
-from its array, with no joined copy.
+A load reads the 12-byte prefix first, and a file whose magic or version is
+wrong fails before anything more is allocated, read or hashed. The file is
+then read once into one buffer placed so that the payload starts on a
+64-byte boundary: the calling thread and, when the file has two or more
+blocks, one helper thread take blocks in turn, each reading its block with
+one positioned read and hashing it. Parameters come back as aligned,
+C-contiguous float32 views into that buffer, not copies; the small scaling
+arrays are copied, so a scaling record alone does not keep the buffer alive.
+A file that ends early or grows while it is read, or that is too large to
+hold in memory, is a CheckpointError. A save writes and hashes each section
+straight from its array, with no joined copy.
 """
 
 import hashlib
 import json
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -44,9 +54,9 @@ from .data import atomic_write
 from .errors import CheckpointError, FrnetError
 
 MAGIC = b"FRNT"
-VERSION = 1
-CHECKSUM_NAME = "sha256-64"
-READ_CHUNK = 8 << 20  # bytes per read, and per hash update on the helper thread
+VERSION = 2
+CHECKSUMS = {1: "sha256-64", 2: "sha256-blocks-64"}  # the header's checksum name, by version
+HASH_BLOCK = 8 << 20  # bytes per checksum block (a format constant), and per read on a load
 ALIGN = 64  # byte boundary the payload of a loaded checkpoint starts on
 
 
@@ -81,12 +91,40 @@ def _f32(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<f4")
 
 
+def _join_digests(digests: list[bytes]) -> bytes:
+    return hashlib.sha256(b"".join(digests)).digest()[:8]
+
+
+class _BlockHasher:
+    """The block checksum of a byte stream fed in pieces of any length."""
+
+    def __init__(self):
+        self._digests: list[bytes] = []
+        self._block = hashlib.sha256()
+        self._filled = 0
+
+    def update(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while len(view):
+            n = min(len(view), HASH_BLOCK - self._filled)
+            self._block.update(view[:n])
+            self._filled += n
+            view = view[n:]
+            if self._filled == HASH_BLOCK:
+                self._digests.append(self._block.digest())
+                self._block, self._filled = hashlib.sha256(), 0
+
+    def checksum(self) -> bytes:
+        tail = [self._block.digest()] if self._filled else []
+        return _join_digests(self._digests + tail)
+
+
 def save(state: ModelState, path: str) -> None:
     """Write the checkpoint atomically (`data.atomic_write`)."""
     _validate_against_spec(state)
     param_names = list(state.params)
     header = {
-        "checksum": CHECKSUM_NAME,
+        "checksum": CHECKSUMS[VERSION],
         "config_digest": state.config_digest,
         "extras": state.extras,
         "model_kind": state.spec_dict["model_kind"],
@@ -108,19 +146,19 @@ def save(state: ModelState, path: str) -> None:
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little")
-    hasher = hashlib.sha256()
+    hasher = _BlockHasher()
     with atomic_write(path, binary=True) as fh:
         for part in (prefix, header_bytes, *(memoryview(a) for a in sections)):
             hasher.update(part)
             fh.write(part)
-        fh.write(hasher.digest()[:8])
+        fh.write(hasher.checksum())
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_header(header, path: str) -> None:
+def _check_header(header, version: int, path: str) -> None:
     """Reject a header whose keys are missing or of the wrong type."""
 
     def need(ok: bool, what: str) -> None:
@@ -128,7 +166,7 @@ def _check_header(header, path: str) -> None:
             raise CheckpointError(f"{path}: malformed header: {what}")
 
     need(isinstance(header, dict), "not a JSON object")
-    if header.get("checksum") != CHECKSUM_NAME:
+    if header.get("checksum") != CHECKSUMS[version]:
         raise CheckpointError(f"{path}: unknown checksum algorithm {header.get('checksum')!r}")
     need(isinstance(header.get("params"), list), "'params' must be a list")
     for entry in header["params"]:
@@ -151,53 +189,115 @@ def _check_header(header, path: str) -> None:
     need(isinstance(header.get("extras", {}), dict), "'extras' must be an object")
 
 
-def _hash_chunks(hasher, chunks: queue.SimpleQueue) -> None:
-    while (chunk := chunks.get()) is not None:
-        hasher.update(chunk)
+def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> bytes:
+    """Read the file behind `fd` into `whole`, whose first 12 bytes are already filled.
 
-
-def _read_hashed(fh, size: int, path: str) -> tuple[bytes, np.ndarray, bytes]:
-    """Read the open file once and hash all but its last 8 bytes.
-
-    Returns the 12-byte prefix, the rest of the file in a buffer placed so
-    that the payload starts on an ALIGN-byte boundary, and the digest. A
-    helper thread hashes each chunk while the next is read (hashlib releases
-    the interpreter lock); it is joined before this returns or raises.
+    The calling thread and, when there are two or more blocks, one helper
+    thread take HASH_BLOCK-byte blocks in turn from a shared counter; each
+    reads its block with os.preadv (the last block's read takes the 8-byte
+    trailer too) and, with `hash_blocks`, hashes it (both release the
+    interpreter lock). Returns the block checksum, or b"" without
+    `hash_blocks`. The helper is joined before this returns or raises, and an
+    error raised on it is raised here.
     """
-    prefix = fh.read(12)
-    if len(prefix) < 12:
-        raise CheckpointError(f"{path}: file ended at byte {len(prefix)} of {size} while being read")
-    # the untrusted header length decides only where the buffer starts
-    header_len = int.from_bytes(prefix[8:12], "little")
+    size = len(whole)
+    hashed = size - 8
+    count = -(-hashed // HASH_BLOCK)
+    digests = [b""] * count
+    lock = threading.Lock()
+    next_block = 0
+    errors: list = []
+
+    def take():
+        nonlocal next_block
+        with lock:
+            k, next_block = next_block, next_block + 1
+        return k if k < count else None
+
+    def stop():
+        nonlocal next_block
+        with lock:
+            next_block = count
+
+    def work():
+        while (k := take()) is not None:
+            lo = k * HASH_BLOCK
+            hi = min(lo + HASH_BLOCK, hashed)
+            pos, end = max(lo, 12), hi if hi < hashed else size
+            while pos < end:
+                n = os.preadv(fd, [whole[pos:end]], pos)
+                if not n:
+                    raise CheckpointError(f"{path}: file ended at byte {pos} of {size} while being read")
+                pos += n
+            if hash_blocks:
+                digests[k] = hashlib.sha256(whole[lo:hi]).digest()
+
+    def helper():
+        try:
+            work()
+        except BaseException as e:  # raised on the calling thread below
+            errors.append(e)
+            stop()
+
+    thread = None
+    if count > 1:
+        thread = threading.Thread(target=helper, daemon=True)
+        thread.start()
     try:
-        buf = np.empty(size + ALIGN, np.uint8)
-    except MemoryError:
-        raise CheckpointError(f"{path}: no memory to hold a {size}-byte file") from None
-    start = -(buf.__array_interface__["data"][0] + header_len) % ALIGN
-    rest = buf[start : start + size - 12]
-    view = memoryview(rest)
-    hashed = size - 20
-    hasher = hashlib.sha256(prefix)
-    chunks: queue.SimpleQueue = queue.SimpleQueue()
-    worker = threading.Thread(target=_hash_chunks, args=(hasher, chunks), daemon=True)
-    worker.start()
-    try:
-        pos = 0
-        while pos < len(view):
-            n = fh.readinto(view[pos : pos + READ_CHUNK])
-            if not n:
-                raise CheckpointError(
-                    f"{path}: file ended at byte {12 + pos} of {size} while being read"
-                )
-            if pos < hashed:
-                chunks.put(view[pos : min(pos + n, hashed)])
-            pos += n
-        if fh.read(1):
-            raise CheckpointError(f"{path}: file grew past {size} bytes while being read")
+        work()
     finally:
-        chunks.put(None)
-        worker.join()
-    return prefix, rest, hasher.digest()[:8]
+        stop()
+        if thread is not None:
+            thread.join()
+    if errors:
+        raise errors[0]
+    if os.pread(fd, 1, size):
+        raise CheckpointError(f"{path}: file grew past {size} bytes while being read")
+    return _join_digests(digests) if hash_blocks else b""
+
+
+def _read(path: str) -> tuple[int, np.ndarray]:
+    """Read and verify the whole file; return its format version and its bytes.
+
+    The bytes sit in a buffer placed so that the payload starts on an
+    ALIGN-byte boundary. Magic and version are checked from the prefix
+    before the buffer is allocated.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+            if size < 24:
+                raise CheckpointError(f"{path}: truncated file ({size} bytes)")
+            prefix = os.pread(fd, 12, 0)
+            if len(prefix) < 12:
+                raise CheckpointError(
+                    f"{path}: file ended at byte {len(prefix)} of {size} while being read"
+                )
+            if prefix[:4] != MAGIC:
+                raise CheckpointError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+            version = int.from_bytes(prefix[4:8], "little")
+            if version not in CHECKSUMS:
+                raise CheckpointError(
+                    f"{path}: format version {version}, this reader supports versions 1 and {VERSION}"
+                )
+            # the untrusted header length decides only where the buffer starts
+            header_len = int.from_bytes(prefix[8:12], "little")
+            try:
+                buf = np.empty(size + ALIGN, np.uint8)
+            except MemoryError:
+                raise CheckpointError(f"{path}: no memory to hold a {size}-byte file") from None
+            start = -(buf.__array_interface__["data"][0] + 12 + header_len) % ALIGN
+            whole = buf[start : start + size]
+            whole[:12] = np.frombuffer(prefix, np.uint8)
+            digest = _read_blocks(fd, memoryview(whole), version == VERSION, path)
+    except OSError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    if version == 1:
+        digest = hashlib.sha256(whole[:-8]).digest()[:8]
+    if digest != whole[-8:].tobytes():
+        raise CheckpointError(f"{path}: checksum mismatch, file corrupt or truncated")
+    return version, whole
 
 
 def load(path: str) -> ModelState:
@@ -206,31 +306,18 @@ def load(path: str) -> ModelState:
     Parameters are float32 views into one buffer holding the file; the
     scaling arrays are copies.
     """
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < 24:
-                raise CheckpointError(f"{path}: truncated file ({size} bytes)")
-            prefix, rest, digest = _read_hashed(fh, size, path)
-    except OSError as e:
-        raise CheckpointError(f"{path}: {e}") from None
-    if digest != rest[-8:].tobytes():
-        raise CheckpointError(f"{path}: checksum mismatch, file corrupt or truncated")
-    if prefix[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
-    version = int.from_bytes(prefix[4:8], "little")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: format version {version}, this reader supports {VERSION}")
-    header_len = int.from_bytes(prefix[8:12], "little")
+    version, whole = _read(path)
+    size = len(whole)
+    header_len = int.from_bytes(whole[8:12].tobytes(), "little")
     if 12 + header_len > size - 8:
         raise CheckpointError(f"{path}: header length {header_len} exceeds file size")
     try:
-        header = json.loads(rest[:header_len].tobytes().decode("utf-8"))
+        header = json.loads(whole[12 : 12 + header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
-    _check_header(header, path)
+    _check_header(header, version, path)
 
-    payload = rest[header_len:-8]
+    payload = whole[12 + header_len : -8]
     offset = 0
 
     def take(shape: tuple) -> np.ndarray:

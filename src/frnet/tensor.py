@@ -29,7 +29,14 @@ CHUNK = 1 << 16
 # 2-core machine the benchmark was measured on, a helper thread and its
 # interpreter-lock handoffs cost about what the second core saves at 12
 # CHUNKs, while at 1272 CHUNKs (the paper-width FRnet-1 fc1/w) Adam drops
-# from 0.84 s to 0.50 s.
+# from 0.84 s to 0.50 s. That break-even holds for Adam alone, not right
+# after a backward pass: with the split forced for FRnet-1 at
+# acceptance-sanity widths (880,399 elements, 13.4 CHUNKs), Adam inside a
+# training step went 7.4-7.6 -> 7.6-8.2 ms, yet 6.6-7.0 -> 4.1 ms in a
+# standalone loop, 7.4-8.7 -> 5.4 ms with one OpenBLAS thread, and
+# 9.3-10.2 -> 6.2-6.5 ms when Adam started 0.2 s after backward. The likely
+# cause is OpenBLAS's worker still spinning on the second core right after
+# backward's BLAS calls.
 PARALLEL_MIN = 16 * CHUNK
 
 

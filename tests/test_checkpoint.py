@@ -1,6 +1,7 @@
 """Checkpoint format: round-trips, determinism, fail-closed loading."""
 
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -104,12 +105,14 @@ def test_load_holds_one_copy_of_the_file(tmp_path):
 
 
 def test_concurrent_loads_with_small_chunks_are_bitwise_equal(tmp_path, monkeypatch):
-    # many chunks per file, more loading threads than cores and frequent
-    # thread switches: a chunk lost or hashed twice fails the checksum
+    # many blocks per file, more loading threads than cores and frequent
+    # thread switches: a block lost, read twice or hashed into the wrong slot
+    # fails the checksum
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
     state = _state(with_scaling=True)
     path = str(tmp_path / "c.ckpt")
     save(state, path)
-    monkeypatch.setattr(checkpoint, "READ_CHUNK", 4096)
+    assert os.path.getsize(path) > 40 * 4096
     results, errors = [], []
 
     def worker():
@@ -135,10 +138,23 @@ def test_concurrent_loads_with_small_chunks_are_bitwise_equal(tmp_path, monkeypa
         assert all(back.params[n].tobytes() == p.tobytes() for n, p in state.params.items())
 
 
-def _joined_bytes(state):
-    # the writer's format spelled out as one concatenation, the reference for save
+def _block_checksum(body):
+    # version 2: SHA-256 of each HASH_BLOCK-byte block, then of the digests joined
+    size = checkpoint.HASH_BLOCK
+    digests = [hashlib.sha256(body[i : i + size]).digest() for i in range(0, len(body), size)]
+    return hashlib.sha256(b"".join(digests)).digest()[:8]
+
+
+def _stream_checksum(body):
+    # version 1: one SHA-256 over everything before the trailer
+    return hashlib.sha256(body).digest()[:8]
+
+
+def _joined_bytes(state, version=2):
+    # the format spelled out as one concatenation: version 2 is the reference
+    # for save, version 1 the legacy layout loads still accept
     header = {
-        "checksum": "sha256-64",
+        "checksum": {1: "sha256-64", 2: "sha256-blocks-64"}[version],
         "config_digest": state.config_digest,
         "extras": state.extras,
         "model_kind": state.spec_dict["model_kind"],
@@ -146,15 +162,15 @@ def _joined_bytes(state):
         "scaling": None if state.scaling is None else {"width": len(state.scaling[0])},
         "seed": state.seed,
         "spec": state.spec_dict,
-        "version": VERSION,
+        "version": version,
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     arrays = list(state.params.values()) + list(state.scaling or ())
     body = b"".join(
-        [MAGIC, VERSION.to_bytes(4, "little"), len(raw).to_bytes(4, "little"), raw]
+        [MAGIC, version.to_bytes(4, "little"), len(raw).to_bytes(4, "little"), raw]
         + [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays]
     )
-    return body + hashlib.sha256(body).digest()[:8]
+    return body + {1: _stream_checksum, 2: _block_checksum}[version](body)
 
 
 @pytest.mark.parametrize("with_scaling", [False, True])
@@ -166,6 +182,176 @@ def test_save_writes_the_joined_bytes(tmp_path, with_scaling):
     path = str(tmp_path / "j.ckpt")
     save(state, path)
     assert open(path, "rb").read() == _joined_bytes(state)
+
+
+def _assert_loads_bitwise(path, state):
+    back = load(path)
+    assert [(n, a.tobytes()) for n, a in back.params.items()] == [
+        (n, np.ascontiguousarray(a, "<f4").tobytes()) for n, a in state.params.items()
+    ]
+    assert all(a.flags.aligned and a.flags.c_contiguous for a in back.params.values())
+    if state.scaling is not None:
+        assert [a.tobytes() for a in back.scaling] == [a.tobytes() for a in state.scaling]
+    return back
+
+
+def _tiny_state():
+    # a few hundred bytes, small enough to flip every byte of
+    spec = NetworkSpec("tiny", (
+        Input("in", (), (1, 1, 3)),
+        Flatten("flat", ("in",)),
+        Dense("fc", ("flat",), 2),
+    ))
+    rng = np.random.default_rng(3)
+    params = {"fc/w": rng.standard_normal((3, 2)).astype(np.float32),
+              "fc/b": rng.standard_normal(2).astype(np.float32)}
+    return ModelState(spec_dict=spec_to_dict(spec), params=params,
+                      scaling=(np.zeros(3, np.float32), np.ones(3, np.float32)))
+
+
+def _assert_every_flipped_byte_fails(path, blob):
+    for pos in range(len(blob)):
+        with open(path, "wb") as fh:
+            fh.write(blob[:pos] + bytes([blob[pos] ^ 0x01]) + blob[pos + 1 :])
+        with pytest.raises(CheckpointError):
+            load(path)
+
+
+def test_version_1_file_loads_bitwise_and_any_flipped_byte_fails_it(tmp_path):
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "v1.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(_joined_bytes(state, version=1))
+    back = _assert_loads_bitwise(path, state)
+    save(back, path)  # a save writes version 2
+    assert open(path, "rb").read() == _joined_bytes(state)
+
+    tiny = _joined_bytes(_tiny_state(), version=1)
+    with open(path, "wb") as fh:
+        fh.write(tiny)
+    _assert_loads_bitwise(path, _tiny_state())
+    _assert_every_flipped_byte_fails(path, tiny)
+
+
+def test_any_flipped_byte_of_a_small_file_fails_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 64)  # about ten blocks
+    path = str(tmp_path / "tiny.ckpt")
+    save(_tiny_state(), path)
+    blob = open(path, "rb").read()
+    assert blob == _joined_bytes(_tiny_state()) and len(blob) > 8 * 64
+    _assert_every_flipped_byte_fails(path, blob)
+
+
+def _save_with_hashed_length(state, path, past_edge):
+    # pad the header so that the bytes before the trailer end `past_edge` bytes past a block edge
+    state.extras = {"pad": ""}
+    save(state, path)
+    block = checkpoint.HASH_BLOCK
+    target = ((os.path.getsize(path) - 8) // block + 1) * block + past_edge
+    state.extras = {"pad": "x" * (target - (os.path.getsize(path) - 8))}
+    save(state, path)
+    assert os.path.getsize(path) - 8 == target
+
+
+@pytest.mark.parametrize("past_edge", [0, 1])
+def test_hashed_length_on_and_one_past_a_block_edge(tmp_path, monkeypatch, past_edge):
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "edge.ckpt")
+    _save_with_hashed_length(state, path, past_edge)
+    blob = open(path, "rb").read()
+    assert blob == _joined_bytes(state)
+    _assert_loads_bitwise(path, state)
+    # the last hashed byte ends a full block, or is a block of its own
+    with open(path, "wb") as fh:
+        fh.write(blob[:-9] + bytes([blob[-9] ^ 0x01]) + blob[-8:])
+    with pytest.raises(CheckpointError, match="checksum"):
+        load(path)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_corrupt_byte_in_any_block_fails_the_checksum(tmp_path, monkeypatch, where):
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    path = str(tmp_path / "b.ckpt")
+    save(_state(), path)
+    blob = open(path, "rb").read()
+    blocks = -(-(len(blob) - 8) // 4096)
+    payload_start = 12 + int.from_bytes(blob[8:12], "little")
+    pos = {"first": payload_start, "middle": blocks // 2 * 4096 + 7, "last": len(blob) - 9}[where]
+    assert pos // 4096 == {"first": 0, "middle": blocks // 2, "last": blocks - 1}[where]
+    assert pos >= payload_start and blocks > 40
+    with open(path, "wb") as fh:
+        fh.write(blob[:pos] + bytes([blob[pos] ^ 0x01]) + blob[pos + 1 :])
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load(path)
+
+
+def _counting_thread_starts(monkeypatch):
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_only_a_file_of_two_or_more_blocks_starts_a_helper(tmp_path, monkeypatch, blocks):
+    # acceptance-sanity widths: the FRnet-1 file is one block at the format's size
+    spec = build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128))
+    params = {n: np.full(shape, 0.5, np.float32) for n, shape in parameter_manifest(spec).items()}
+    state = ModelState(spec_dict=spec_to_dict(spec), params=params)
+    path = str(tmp_path / "sanity.ckpt")
+    save(state, path)
+    size = os.path.getsize(path)
+    assert size - 8 <= checkpoint.HASH_BLOCK
+    if blocks == 2:
+        monkeypatch.setattr(checkpoint, "HASH_BLOCK", size // 2)
+        save(state, path)
+    started = _counting_thread_starts(monkeypatch)
+    _assert_loads_bitwise(path, state)
+    assert len(started) == blocks - 1
+
+
+def test_a_read_error_on_the_helper_is_a_checkpoint_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    path = str(tmp_path / "e.ckpt")
+    save(_state(), path)
+    caller = threading.current_thread()
+    failed = threading.Event()
+    real = os.preadv
+
+    def preadv(fd, buffers, offset):
+        if threading.current_thread() is caller:
+            failed.wait(timeout=10)  # hold the caller's first block until the helper has failed
+            return real(fd, buffers, offset)
+        failed.set()
+        raise OSError(errno.EIO, "simulated read error")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "preadv", preadv)
+    with pytest.raises(CheckpointError, match="simulated read error"):
+        load(path)
+    monkeypatch.undo()
+    assert failed.is_set()
+    assert threading.active_count() == threads  # the helper was joined
+
+
+@pytest.mark.parametrize("prefix", [b"drug-id\ttarget-id\tlabel\t", MAGIC + (99).to_bytes(4, "little")])
+def test_a_bad_prefix_fails_before_the_body_is_read(tmp_path, monkeypatch, prefix):
+    path = str(tmp_path / "not.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(prefix + b"0.5\t" * 100_000)
+
+    def preadv(fd, buffers, offset):
+        raise AssertionError("the body was read")
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    with pytest.raises(CheckpointError, match="bad magic" if prefix[:4] != MAGIC else "format version 99"):
+        load(path)
 
 
 def _fstat_reporting(delta):
@@ -232,9 +418,8 @@ def _rewrite_with_valid_checksum(path, mutate):
     blob = open(path, "rb").read()
     body = bytearray(blob[:-8])
     mutate(body)
-    digest = hashlib.sha256(bytes(body)).digest()[:8]
     with open(path, "wb") as fh:
-        fh.write(bytes(body) + digest)
+        fh.write(bytes(body) + _block_checksum(bytes(body)))
 
 
 def test_bad_magic_is_reported(tmp_path):
@@ -366,7 +551,9 @@ def test_magic_constant_layout(tmp_path):
     save(_state(), path)
     blob = open(path, "rb").read()
     assert blob[:4] == MAGIC == b"FRNT"
-    assert int.from_bytes(blob[4:8], "little") == VERSION
+    assert int.from_bytes(blob[4:8], "little") == VERSION == 2
+    assert checkpoint.HASH_BLOCK == 8 << 20
+    assert b'"checksum":"sha256-blocks-64"' in blob
 
 
 def test_save_rejects_manifest_mismatch(tmp_path):
@@ -533,7 +720,7 @@ def _damaged_files(draw, blob):
         # past the checksum: a valid prefix, any header length, any header bytes
         body = (MAGIC + VERSION.to_bytes(4, "little")
                 + draw(st.integers(0, 300)).to_bytes(4, "little") + draw(st.binary(max_size=256)))
-        return body + hashlib.sha256(body).digest()[:8]
+        return body + _block_checksum(body)
     if kind == "truncated":
         return blob[: draw(st.integers(0, len(blob) - 1))]
     pos = draw(st.integers(0, len(blob) - 1))

@@ -82,6 +82,13 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_feature_file_given_as_checkpoint_is_one_bad_magic_line(self, dataset_file, tmp_path, capsys):
+        flags = tiny_flags(dataset_file, tmp_path)
+        rc = main(["extract", *flags, "--ae-checkpoint", dataset_file])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "bad magic" in err
+
     def test_report_on_empty_directory_is_a_runtime_failure(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
