@@ -31,10 +31,11 @@ A load reads the 12-byte prefix first, and a file whose magic or version is
 wrong fails before anything more is allocated, read or hashed. The file is
 then read once into one buffer placed so that the payload starts on a
 64-byte boundary: the calling thread and, when the file has two or more
-blocks, one helper thread take blocks in turn, each reading its block with
-one positioned read and hashing it. Parameters come back as aligned,
-C-contiguous float32 views into that buffer, not copies; the small scaling
-arrays are copied, so a scaling record alone does not keep the buffer alive.
+blocks and the process two or more usable cores, one helper thread take
+blocks in turn, each reading its block with one positioned read and hashing
+it. Parameters come back as aligned, C-contiguous float32 views into that
+buffer, not copies; the small scaling arrays are copied, so a scaling
+record alone does not keep the buffer alive.
 A file that ends early or grows while it is read, or that is too large to
 hold in memory, is a CheckpointError. A save writes and hashes each section
 straight from its array, with no joined copy.
@@ -192,13 +193,14 @@ def _check_header(header, version: int, path: str) -> None:
 def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> bytes:
     """Read the file behind `fd` into `whole`, whose first 12 bytes are already filled.
 
-    The calling thread and, when there are two or more blocks, one helper
-    thread take HASH_BLOCK-byte blocks in turn from a shared counter; each
-    reads its block with os.preadv (the last block's read takes the 8-byte
-    trailer too) and, with `hash_blocks`, hashes it (both release the
-    interpreter lock). Returns the block checksum, or b"" without
-    `hash_blocks`. The helper is joined before this returns or raises, and an
-    error raised on it is raised here.
+    The calling thread and, when there are two or more blocks and two or
+    more usable cores (the process's CPU affinity, as in
+    `tensor.run_chunked`), one helper thread take HASH_BLOCK-byte blocks in
+    turn from a shared counter; each reads its block with os.preadv (the
+    last block's read takes the 8-byte trailer too) and, with
+    `hash_blocks`, hashes it (both release the interpreter lock). Returns
+    the block checksum, or b"" without `hash_blocks`. The helper is joined
+    before this returns or raises, and an error raised on it is raised here.
     """
     size = len(whole)
     hashed = size - 8
@@ -240,7 +242,7 @@ def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> by
             stop()
 
     thread = None
-    if count > 1:
+    if count > 1 and len(os.sched_getaffinity(0)) >= 2:
         thread = threading.Thread(target=helper, daemon=True)
         thread.start()
     try:

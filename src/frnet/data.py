@@ -5,7 +5,9 @@ Two input formats are accepted (documented in the README): delimited text
 columns, and sparse index:value rows. The extracted-feature file written
 between the two training stages is the delimited form with ids, rendered
 with %.9g so 32-bit values survive the text round trip bit-exactly.
-`atomic_write` writes that file, the checkpoints and the run report whole.
+Every file the program writes goes through `atomic_write`, so it is whole or
+absent: the checkpoints, and through `write_table` every TSV (feature
+files, training logs, curve points, report tables).
 """
 
 import contextlib
@@ -136,6 +138,8 @@ def _load_delimited(path: str, lines: list[tuple[int, str]]):
         if has_ids:
             if len(fields) < 4:
                 raise DataError(f"{where}: expected drug-id, target-id, label, features")
+            if "\t" in fields[0] + fields[1]:  # it could not be written back as TSV
+                raise DataError(f"{where}: a drug or target id holds a tab")
             drug_ids.append(fields[0])
             target_ids.append(fields[1])
             fields = fields[2:]
@@ -345,7 +349,7 @@ def make_folds(d: Dataset, k: int = 5, seed: int = 0, stratified: bool = True) -
 
 
 # ---------------------------------------------------------------------------
-# extracted-feature files
+# written files
 
 _F32_FMT = "%.9g"  # shortest decimal form that round-trips any float32
 
@@ -369,14 +373,24 @@ def atomic_write(path: str, binary: bool = False):
             os.remove(tmp)
 
 
-def write_feature_file(path: str, d: Dataset) -> None:
-    width = d.feature_count
-    header = "drug-id\ttarget-id\tlabel\t" + "\t".join(f"f{i}" for i in range(width))
+def write_table(path: str, columns, rows) -> None:
+    """Write a tab-separated header of `columns`, then one line per row of formatted fields.
+
+    The file goes through `atomic_write`, so a failure while `rows` is
+    consumed leaves `path` as it was.
+    """
     with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for i in range(len(d)):
-            row = "\t".join(_F32_FMT % v for v in d.features[i])
-            fh.write(f"{d.drug_ids[i]}\t{d.target_ids[i]}\t{int(d.labels[i])}\t{row}\n")
+        fh.write("\t".join(columns) + "\n")
+        for row in rows:
+            fh.write("\t".join(row) + "\n")
+
+
+def write_feature_file(path: str, d: Dataset) -> None:
+    columns = ["drug-id", "target-id", "label"] + [f"f{i}" for i in range(d.feature_count)]
+    write_table(path, columns, (
+        [d.drug_ids[i], d.target_ids[i], str(int(d.labels[i]))] + [_F32_FMT % v for v in d.features[i]]
+        for i in range(len(d))
+    ))
 
 
 def read_feature_file(path: str) -> Dataset:

@@ -12,7 +12,6 @@ as None, a distinguished absent value, never silently 0.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,25 +166,3 @@ def aggregate(reports: list[dict]) -> EvalReport:
         means[k], sds[k] = mean, sd
     return EvalReport(tuple(dict(r) for r in reports), means, sds)
 
-
-def write_curve_files(
-    out_dir: str,
-    dataset: str,
-    repeat: int,
-    fold: int,
-    roc: list[tuple[float, float]],
-    pr: list[tuple[float, float]],
-) -> tuple[str, str]:
-    """Write (fpr, tpr) and (recall, precision) point files; returns the paths."""
-    stem = f"{dataset}_r{repeat}_f{fold}"
-    roc_path = os.path.join(out_dir, f"{stem}_roc.tsv")
-    pr_path = os.path.join(out_dir, f"{stem}_pr.tsv")
-    with open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fpr\ttpr\n")
-        for x, y in roc:
-            fh.write("%.10g\t%.10g\n" % (x, y))
-    with open(pr_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("recall\tprecision\n")
-        for x, y in pr:
-            fh.write("%.10g\t%.10g\n" % (x, y))
-    return roc_path, pr_path

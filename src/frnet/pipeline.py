@@ -41,6 +41,7 @@ from .data import (
     read_feature_file,
     subset,
     write_feature_file,
+    write_table,
 )
 from .errors import (
     CheckpointError,
@@ -57,7 +58,6 @@ from .metrics import (
     evaluate_scores,
     pr_points,
     roc_points,
-    write_curve_files,
 )
 from .models import (
     CompiledModel,
@@ -238,13 +238,10 @@ class TrainLog:
         )
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch\tloss\taccuracy\tseconds\n")
-            for e in self.entries:
-                fh.write(
-                    "%d\t%.10g\t%.10g\t%.3f\n"
-                    % (e["epoch"], e["loss"], e["accuracy"], e["seconds"])
-                )
+        write_table(path, ("epoch", "loss", "accuracy", "seconds"), (
+            ("%d" % e["epoch"], "%.10g" % e["loss"], "%.10g" % e["accuracy"], "%.3f" % e["seconds"])
+            for e in self.entries
+        ))
 
 
 def _predict_batched(model: CompiledModel, x: np.ndarray) -> np.ndarray:
@@ -373,14 +370,15 @@ def _train_classifier(
 
 
 def _save(cfg: RunConfig, model: CompiledModel, record: ScalingRecord | None, log: TrainLog,
-          ckpt_path: str, log_path: str) -> None:
-    """Write a trained stage: its training log, then its checkpoint."""
-    log.write(log_path)
+          ckpt_name: str, log_name: str) -> str:
+    """Write a stage's training log, then its checkpoint, at names under out-dir; returns `ckpt_name`."""
+    log.write(os.path.join(cfg.out_dir, log_name))
     params = {name: t.data for name, t in model.params().items()}
     scaling = (record.mins, record.maxs) if record is not None else None
     state = checkpoint.ModelState(spec_dict=spec_to_dict(model.spec), params=params, seed=cfg.seed,
                                   config_digest=config_digest(cfg), scaling=scaling)
-    checkpoint.save(state, ckpt_path)
+    checkpoint.save(state, os.path.join(cfg.out_dir, ckpt_name))
+    return ckpt_name
 
 
 def _load_model(path: str, expected_kind: str) -> tuple[CompiledModel, ScalingRecord | None]:
@@ -444,10 +442,9 @@ def cmd_train_ae(cfg: RunConfig, dataset: Dataset | None = None) -> dict:
     cfg.require_orientation(d.feature_count)
     out = _ensure_out_dir(cfg)
     model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
-    ckpt_path = os.path.join(out, "ae.ckpt")
-    log_path = os.path.join(out, "ae_train_log.tsv")
-    _save(cfg, model, record, log, ckpt_path, log_path)
-    return {"checkpoint": ckpt_path, "log": log_path, "train_log": log}
+    _save(cfg, model, record, log, "ae.ckpt", "ae_train_log.tsv")
+    return {"checkpoint": os.path.join(out, "ae.ckpt"), "log": os.path.join(out, "ae_train_log.tsv"),
+            "train_log": log}
 
 
 def cmd_extract(cfg: RunConfig, ae_checkpoint: str, dataset: Dataset | None = None) -> str:
@@ -473,10 +470,9 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
         raise DataError(f"{features_path}: width {d.feature_count} is not a perfect square; "
                         "the classifier views each row as a square image")
     model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
-    ckpt_path = os.path.join(out, "clf.ckpt")
-    log_path = os.path.join(out, "clf_train_log.tsv")
-    _save(cfg, model, None, log, ckpt_path, log_path)
-    return {"checkpoint": ckpt_path, "log": log_path, "train_log": log}
+    _save(cfg, model, None, log, "clf.ckpt", "clf_train_log.tsv")
+    return {"checkpoint": os.path.join(out, "clf.ckpt"), "log": os.path.join(out, "clf_train_log.tsv"),
+            "train_log": log}
 
 
 def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalReport, dict]:
@@ -494,29 +490,22 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
                 if not 0 < d.labels[side].sum() < side.size:
                     raise PipelineError(f"repeat {r} fold {f}: a side is without positives or "
                                         "negatives; use stratified folds")
-    models_dir = _ensure_out_dir(cfg, "models")
-    curves_dir = _ensure_out_dir(cfg, "curves")
-    logs_dir = _ensure_out_dir(cfg, "logs")
+    for sub in ("models", "curves", "logs"):
+        _ensure_out_dir(cfg, sub)
 
     global_ae = None
     ckpt_files: list[str] = []
     if cfg.global_ae:
         model, record, log = _train_autoencoder(cfg, d.features, path=(_STAGE_GLOBAL_AE,))
-        _save(cfg, model, record, log, os.path.join(models_dir, "ae_global.ckpt"),
-              os.path.join(logs_dir, "ae_global.tsv"))
+        ckpt_files.append(_save(cfg, model, record, log, *_stage_files("ae_global")))
         global_ae = (model, record)
-        ckpt_files.append(os.path.join("models", "ae_global.ckpt"))
 
     fold_metrics: list[dict] = []
     curve_files: list[str] = []
     for r, plan in enumerate(plans):
         for f in range(cfg.folds):
             try:
-                fm, files = _run_fold(
-                    cfg, d, plan, r, f,
-                    global_ae=global_ae,
-                    models_dir=models_dir, curves_dir=curves_dir, logs_dir=logs_dir,
-                )
+                fm, files = _run_fold(cfg, d, plan, r, f, global_ae=global_ae)
             except FrnetError as e:
                 raise PipelineError(f"repeat {r} fold {f}: {e}") from e
             fold_metrics.append(fm)
@@ -543,6 +532,11 @@ def cmd_cv_run(cfg: RunConfig, dataset: Dataset | None = None) -> tuple[EvalRepo
     return report, report_dict
 
 
+def _stage_files(stem: str) -> tuple[str, str]:
+    """The run-relative checkpoint and training-log names of a cv-run stage."""
+    return os.path.join("models", f"{stem}.ckpt"), os.path.join("logs", f"{stem}.tsv")
+
+
 def _run_fold(
     cfg: RunConfig,
     d: Dataset,
@@ -551,10 +545,8 @@ def _run_fold(
     f: int,
     *,
     global_ae: tuple[CompiledModel, ScalingRecord] | None,
-    models_dir: str,
-    curves_dir: str,
-    logs_dir: str,
 ) -> tuple[dict, dict]:
+    """Train and score one fold; returns its metrics and the run-relative names of what it wrote."""
     train_idx = plan.train_indices(f)
     test_idx = plan.test_indices(f)
     train_labels = d.labels[train_idx]
@@ -564,9 +556,7 @@ def _run_fold(
         ae, record = global_ae
     else:
         ae, record, ae_log = _train_autoencoder(cfg, d.features[train_idx], path=(_STAGE_AE, r, f))
-        ae_ckpt = os.path.join(models_dir, f"ae_r{r}_f{f}.ckpt")
-        _save(cfg, ae, record, ae_log, ae_ckpt, os.path.join(logs_dir, f"ae_r{r}_f{f}.tsv"))
-        files["checkpoints"].append(os.path.relpath(ae_ckpt, cfg.out_dir))
+        files["checkpoints"].append(_save(cfg, ae, record, ae_log, *_stage_files(f"ae_r{r}_f{f}")))
 
     rep_train = _represent(ae, record, d.features[train_idx], "autoencoder")
     rep_test = _represent(ae, record, d.features[test_idx], "autoencoder")
@@ -574,20 +564,18 @@ def _run_fold(
     del ae
 
     clf, clf_log = _train_classifier(cfg, rep_train, train_labels, path=(_STAGE_CLF, r, f))
-    clf_ckpt = os.path.join(models_dir, f"clf_r{r}_f{f}.ckpt")
-    _save(cfg, clf, None, clf_log, clf_ckpt, os.path.join(logs_dir, f"clf_r{r}_f{f}.tsv"))
-    files["checkpoints"].append(os.path.relpath(clf_ckpt, cfg.out_dir))
+    files["checkpoints"].append(_save(cfg, clf, None, clf_log, *_stage_files(f"clf_r{r}_f{f}")))
 
     probs = _predict_batched(clf, as_square_images(rep_test))[:, 0]
     scored = ScoredLabels(probs.astype(np.float64), test_labels)
     fm = evaluate_scores(scored, cfg.threshold)
     fm["repeat"] = r
     fm["fold"] = f
-    roc_path, pr_path = write_curve_files(
-        curves_dir, d.name, r, f, roc_points(scored), pr_points(scored)
-    )
-    files["curves"].append(os.path.relpath(roc_path, cfg.out_dir))
-    files["curves"].append(os.path.relpath(pr_path, cfg.out_dir))
+    for kind, columns, points in (("roc", ("fpr", "tpr"), roc_points(scored)),
+                                  ("pr", ("recall", "precision"), pr_points(scored))):
+        rel = os.path.join("curves", f"{d.name}_r{r}_f{f}_{kind}.tsv")
+        write_table(os.path.join(cfg.out_dir, rel), columns, (("%.10g" % x, "%.10g" % y) for x, y in points))
+        files["curves"].append(rel)
     return fm, files
 
 
@@ -716,15 +704,12 @@ def cmd_report(run_dir: str) -> dict:
 
     means, sds = report["means"], report["sds"]
     table_path = os.path.join(run_dir, "metrics.tsv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset\tmode\tmetric\tmean\tsd\n")
-        for key in sorted(means):
-            fh.write(
-                "%s\t%s\t%s\t%s\t%s\n"
-                % (report["dataset"], report["mode"], key, fmt(means[key]), fmt(sds[key]))
-            )
+    write_table(table_path, ("dataset", "mode", "metric", "mean", "sd"), (
+        (str(report["dataset"]), str(report["mode"]), key, fmt(means[key]), fmt(sds[key]))
+        for key in sorted(means)
+    ))
     summary_path = os.path.join(run_dir, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(summary_path) as fh:
         fh.write(f"dataset {report['dataset']}: {report['pairs']} pairs, "
                  f"{report['positives']} positive\n")
         fh.write(f"mode {report['mode']}, config {report['config_digest'][:12]}\n")

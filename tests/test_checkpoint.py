@@ -298,8 +298,7 @@ def _counting_thread_starts(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_only_a_file_of_two_or_more_blocks_starts_a_helper(tmp_path, monkeypatch, blocks):
+def _sanity_checkpoint(tmp_path, monkeypatch, blocks):
     # acceptance-sanity widths: the FRnet-1 file is one block at the format's size
     spec = build_frnet1(feature_count=255, orientation=(16, 16), hidden=(256, 128))
     params = {n: np.full(shape, 0.5, np.float32) for n, shape in parameter_manifest(spec).items()}
@@ -311,13 +310,30 @@ def test_only_a_file_of_two_or_more_blocks_starts_a_helper(tmp_path, monkeypatch
     if blocks == 2:
         monkeypatch.setattr(checkpoint, "HASH_BLOCK", size // 2)
         save(state, path)
+    return state, path
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_only_a_file_of_two_or_more_blocks_starts_a_helper(tmp_path, monkeypatch, blocks):
+    state, path = _sanity_checkpoint(tmp_path, monkeypatch, blocks)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
     started = _counting_thread_starts(monkeypatch)
     _assert_loads_bitwise(path, state)
     assert len(started) == blocks - 1
 
 
+def test_a_process_on_one_core_starts_no_helper(tmp_path, monkeypatch):
+    # the rule `tensor.run_chunked` keeps: a helper thread only with two usable cores
+    state, path = _sanity_checkpoint(tmp_path, monkeypatch, 2)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0})
+    started = _counting_thread_starts(monkeypatch)
+    _assert_loads_bitwise(path, state)
+    assert started == []
+
+
 def test_a_read_error_on_the_helper_is_a_checkpoint_error(tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
     path = str(tmp_path / "e.ckpt")
     save(_state(), path)
     caller = threading.current_thread()

@@ -174,6 +174,12 @@ class TestExitCodes:
                       "the classifier views each row as a square image\n"
         assert not (tmp_path / "clf.ckpt").exists()
 
+    def test_an_id_holding_a_tab_exits_one_with_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "tabbed.csv"
+        p.write_text("d1,t1,1,0.5,0.25\ndrug\t7,t3,0,0.1,0.3\n")
+        assert main(["ingest", "--dataset-path", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}:2: a drug or target id holds a tab\n"
+
     def test_unknown_dataset_format_names_both_formats(self, tmp_path, capsys):
         p = tmp_path / "s.txt"
         p.write_text("1 0:0.5 3:2.0\n0 1:1.5\n")

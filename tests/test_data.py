@@ -1,5 +1,6 @@
-"""Dataset parsing, scaling, padding, fold assignment, feature files."""
+"""Dataset parsing, scaling, padding, fold assignment, written files."""
 
+import ast
 import os
 
 import numpy as np
@@ -25,6 +26,7 @@ from frnet.data import (
     read_feature_file,
     subset,
     write_feature_file,
+    write_table,
 )
 from frnet import data
 from frnet.errors import DataError, ShapeMismatchError
@@ -79,6 +81,15 @@ def test_rows_with_and_without_ids_do_not_mix(tmp_path):
                       ("# ids\n1\t0.5\t0.2\nD2\tT2\t0\t0.1\t0.3\n", 3)):
         p.write_text(rows)
         with pytest.raises(DataError, match=f"mixed.txt:{bad}: drug and target ids"):
+            load_dataset(str(p))
+
+
+def test_an_id_holding_a_tab_is_refused(tmp_path):
+    # a comma-separated file can carry one, but it could not be written back as TSV
+    p = tmp_path / "tabbed.csv"
+    for rows, bad in (("d1,t1,1,0.5,0.25\ndrug\t7,t3,0,0.1,0.3\n", 2), ("d1,t\t1,1,0.5,0.25\n", 1)):
+        p.write_text(rows)
+        with pytest.raises(DataError, match=f"tabbed.csv:{bad}: a drug or target id holds a tab"):
             load_dataset(str(p))
 
 
@@ -426,6 +437,12 @@ def test_a_write_that_fails_midway_leaves_the_old_file_and_no_temp_file(tmp_path
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_write_table_writes_a_header_then_one_line_per_row(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(str(path), ("a", "b"), (row for row in [("1", "x y"), ("2.5", "")]))
+    assert path.read_bytes() == b"a\tb\n1\tx y\n2.5\t\n"
+
+
 def test_an_interrupted_feature_file_write_leaves_the_old_file(tmp_path, monkeypatch):
     # the rows written before the failure never reach the target, so no
     # truncated file that happens to end on a line boundary can load
@@ -447,6 +464,36 @@ def test_an_interrupted_feature_file_write_leaves_the_old_file(tmp_path, monkeyp
         write_feature_file(path, _dataset(20, 5, width=6, seed=1))
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["features.tsv"]
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "frnet")
+
+
+def _writing_opens(path: str) -> list[int]:
+    """Lines of the module at `path` that call open() with a mode that may write."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        if not literal or set(mode.value) & set("wax+"):  # a mode that is not a literal might write
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(n for n in os.listdir(_SRC) if n.endswith(".py")))
+def test_only_data_opens_files_for_writing(module):
+    # every file is written through data.atomic_write, so whole-or-absent is
+    # the policy of one module
+    writes = _writing_opens(os.path.join(_SRC, module))
+    if module == "data.py":
+        assert writes, "atomic_write's opens are not seen"
+    else:
+        assert writes == [], f"{module} opens a file for writing at lines {writes}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from frnet.metrics import (
     evaluate_scores,
     pr_points,
     roc_points,
-    write_curve_files,
 )
 
 
@@ -225,16 +224,3 @@ def test_aggregate_skips_none_and_ignores_bookkeeping_keys():
     with pytest.raises(MetricError):
         aggregate([])
 
-
-def test_curve_files_named_by_dataset_fold_repeat(tmp_path):
-    s = ScoredLabels(np.array([0.9, 0.8, 0.4, 0.1]), np.array([1, 0, 1, 0]))
-    roc_path, pr_path = write_curve_files(
-        str(tmp_path), "nr", repeat=2, fold=3, roc=roc_points(s), pr=pr_points(s)
-    )
-    assert roc_path.endswith("nr_r2_f3_roc.tsv")
-    assert pr_path.endswith("nr_r2_f3_pr.tsv")
-    lines = (tmp_path / "nr_r2_f3_roc.tsv").read_text().splitlines()
-    assert lines[0] == "fpr\ttpr"
-    assert lines[1] == "0\t0"
-    got = [tuple(float(v) for v in ln.split("\t")) for ln in lines[1:]]
-    assert got == roc_points(s)

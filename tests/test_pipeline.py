@@ -475,6 +475,32 @@ class TestCvRun:
         for rel in rd["curve_files"] + rd["checkpoint_files"]:
             assert os.path.exists(os.path.join(out, rel))
 
+    def test_curve_files_named_by_dataset_repeat_and_fold(self, tmp_path, blobs48, monkeypatch):
+        # each curve file holds the points its fold's roc_points / pr_points
+        # gave, under a header, one %.10g pair per line
+        points = []
+
+        def recording(real):
+            def fn(s):
+                points.append(real(s))
+                return points[-1]
+            return fn
+
+        for name in ("roc_points", "pr_points"):
+            monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+        _, rd = cmd_cv_run(tiny_cfg(tmp_path, repeats=2, epochs_ae=0, epochs_clf=0), dataset=blobs48)
+        names = [os.path.join("curves", f"synth-blobs_r{r}_f{f}_{kind}.tsv")
+                 for r in range(2) for f in range(2) for kind in ("roc", "pr")]
+        assert rd["curve_files"] == names and len(points) == len(names)
+        for rel, pts in zip(names, points):
+            lines = (tmp_path / rel).read_text(encoding="utf-8").splitlines()
+            assert lines[0] == ("fpr\ttpr" if rel.endswith("_roc.tsv") else "recall\tprecision")
+            assert lines[1:] == ["%.10g\t%.10g" % p for p in pts]
+            got = np.array([[float(v) for v in ln.split("\t")] for ln in lines[1:]])
+            np.testing.assert_allclose(got, np.array(pts), rtol=1e-9, atol=0)
+        roc = (tmp_path / names[0]).read_text(encoding="utf-8").splitlines()
+        assert roc[1] == "0\t0" and roc[-1] == "1\t1"
+
     def test_report_json_matches_return_value(self, cv5):
         with open(os.path.join(cv5["out"], "report.json"), encoding="utf-8") as fh:
             assert json.load(fh) == cv5["dict"]
@@ -871,3 +897,56 @@ class TestReport:
         cmd_cv_run(tiny_cfg(tmp_path, epochs_ae=0, epochs_clf=0), dataset=blobs48)
         [i] = [i for i, e in enumerate(events) if e[0] == "replace" and e[2] == "report.json"]
         assert events[i - 1] == ("fsync", events[i][1])
+
+
+def _disk_full_at_fsync_of(monkeypatch, path) -> None:
+    """Make os.fsync fail, as a full disk would, on the temp file that a write of `path` fsyncs."""
+    folder, name = os.path.split(str(path))
+    fsync = os.fsync
+
+    def failing(fd):
+        ino = os.fstat(fd).st_ino
+        with os.scandir(folder) as entries:
+            if any(e.name.startswith(name + ".") and e.inode() == ino for e in entries):
+                raise OSError("disk full")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing)
+
+
+def _temp_files(folder) -> list[str]:
+    return [n for n in os.listdir(folder) if ".tmp" in n]
+
+
+class TestInterruptedWrites:
+    """A write that fails leaves the earlier file as it was and no temp file beside it."""
+
+    def test_curve_file(self, tmp_path, blobs48, monkeypatch):
+        curve = tmp_path / "curves" / "synth-blobs_r0_f1_pr.tsv"
+        curve.parent.mkdir()
+        curve.write_text("old\n")
+        _disk_full_at_fsync_of(monkeypatch, curve)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_cv_run(tiny_cfg(tmp_path, epochs_ae=0, epochs_clf=0), dataset=blobs48)
+        assert curve.read_text() == "old\n"
+        assert _temp_files(curve.parent) == [] and not (tmp_path / "report.json").exists()
+
+    def test_training_log(self, tmp_path, blobs48, monkeypatch):
+        log = tmp_path / "ae_train_log.tsv"
+        log.write_text("old\n")
+        _disk_full_at_fsync_of(monkeypatch, log)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_train_ae(tiny_cfg(tmp_path), dataset=blobs48)
+        assert log.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["ae_train_log.tsv"]  # nor is the checkpoint written
+
+    @pytest.mark.parametrize("name", ["metrics.tsv", "summary.txt"])
+    def test_report_file(self, cv5, tmp_path, monkeypatch, name):
+        clone = tmp_path / "clone"
+        shutil.copytree(cv5["out"], clone)
+        (clone / name).write_text("old\n")
+        _disk_full_at_fsync_of(monkeypatch, clone / name)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_report(str(clone))
+        assert (clone / name).read_text() == "old\n"
+        assert _temp_files(clone) == []
