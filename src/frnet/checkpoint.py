@@ -30,12 +30,14 @@ the header is ignored.
 A load reads the 12-byte prefix first, and a file whose magic or version is
 wrong fails before anything more is allocated, read or hashed. The file is
 then read once into one buffer placed so that the payload starts on a
-64-byte boundary: the calling thread and, when the file has two or more
-blocks and the process two or more usable cores, one helper thread take
-blocks in turn, each reading its block with one positioned read and hashing
-it. Parameters come back as aligned, C-contiguous float32 views into that
-buffer, not copies; the small scaling arrays are copied, so a scaling
-record alone does not keep the buffer alive.
+64-byte boundary. Its checksum blocks split into two static halves
+(`tensor.run_chunked`), which balance because blocks are equal-sized: the
+calling thread reads and hashes the lower half and, when the file has two or
+more blocks and the process two or more usable cores, one helper thread the
+upper half, each block with one positioned read. An error on either half is
+raised once both have finished. Parameters come back as aligned,
+C-contiguous float32 views into that buffer, not copies; the small scaling
+arrays are copied, so a scaling record alone does not keep the buffer alive.
 A file that ends early or grows while it is read, or that is too large to
 hold in memory, is a CheckpointError. A save writes and hashes each section
 straight from its array, with no joined copy.
@@ -45,7 +47,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ import numpy as np
 from . import models
 from .data import atomic_write
 from .errors import CheckpointError, FrnetError
+from .tensor import run_chunked
 
 MAGIC = b"FRNT"
 VERSION = 2
@@ -193,36 +195,17 @@ def _check_header(header, version: int, path: str) -> None:
 def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> bytes:
     """Read the file behind `fd` into `whole`, whose first 12 bytes are already filled.
 
-    The calling thread and, when there are two or more blocks and two or
-    more usable cores (the process's CPU affinity, as in
-    `tensor.run_chunked`), one helper thread take HASH_BLOCK-byte blocks in
-    turn from a shared counter; each reads its block with os.preadv (the
-    last block's read takes the 8-byte trailer too) and, with
-    `hash_blocks`, hashes it (both release the interpreter lock). Returns
-    the block checksum, or b"" without `hash_blocks`. The helper is joined
-    before this returns or raises, and an error raised on it is raised here.
+    Each half of the HASH_BLOCK-byte blocks (`tensor.run_chunked`) reads its
+    blocks in order with os.preadv, the last block's read taking the 8-byte
+    trailer too, and with `hash_blocks` hashes each. Returns the block
+    checksum, or b"" without `hash_blocks`.
     """
     size = len(whole)
     hashed = size - 8
-    count = -(-hashed // HASH_BLOCK)
-    digests = [b""] * count
-    lock = threading.Lock()
-    next_block = 0
-    errors: list = []
 
-    def take():
-        nonlocal next_block
-        with lock:
-            k, next_block = next_block, next_block + 1
-        return k if k < count else None
-
-    def stop():
-        nonlocal next_block
-        with lock:
-            next_block = count
-
-    def work():
-        while (k := take()) is not None:
+    def read(first: int, last: int) -> list[bytes]:
+        digests = []
+        for k in range(first, last):
             lo = k * HASH_BLOCK
             hi = min(lo + HASH_BLOCK, hashed)
             pos, end = max(lo, 12), hi if hi < hashed else size
@@ -232,30 +215,13 @@ def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> by
                     raise CheckpointError(f"{path}: file ended at byte {pos} of {size} while being read")
                 pos += n
             if hash_blocks:
-                digests[k] = hashlib.sha256(whole[lo:hi]).digest()
+                digests.append(hashlib.sha256(whole[lo:hi]).digest())
+        return digests
 
-    def helper():
-        try:
-            work()
-        except BaseException as e:  # raised on the calling thread below
-            errors.append(e)
-            stop()
-
-    thread = None
-    if count > 1 and len(os.sched_getaffinity(0)) >= 2:
-        thread = threading.Thread(target=helper, daemon=True)
-        thread.start()
-    try:
-        work()
-    finally:
-        stop()
-        if thread is not None:
-            thread.join()
-    if errors:
-        raise errors[0]
+    halves = run_chunked(-(-hashed // HASH_BLOCK), read, align=1, min_split=2)
     if os.pread(fd, 1, size):
         raise CheckpointError(f"{path}: file grew past {size} bytes while being read")
-    return _join_digests(digests) if hash_blocks else b""
+    return _join_digests([d for half in halves for d in half]) if hash_blocks else b""
 
 
 def _read(path: str) -> tuple[int, np.ndarray]:

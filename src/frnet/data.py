@@ -67,6 +67,9 @@ class Dataset:
             raise DataError(f"dataset {self.name}: non-finite feature values")
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise DataError(f"dataset {self.name}: labels must be 0 or 1")
+        for row, (drug, target) in enumerate(zip(self.drug_ids, self.target_ids)):
+            if fault := _id_fault(drug, target):
+                raise DataError(f"dataset {self.name}: row {row}: {fault}")
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
@@ -119,6 +122,24 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _id_fault(drug: str, target: str) -> str | None:
+    """Why a feature file could not carry this row's ids back unchanged, or None.
+
+    `read_feature_file` strips each field, splits lines as `str.splitlines`
+    does, skips a line that starts with `#` after its leading whitespace,
+    and takes a row whose first field is a number for one without ids.
+    """
+    for s in (drug, target):
+        if "\t" in s:
+            return "a drug or target id holds a tab"
+        utf8 = s.encode(errors="replace").decode()  # a lone surrogate becomes "?"
+        if "".join(s.splitlines()) != s or s != s.strip() or utf8 != s:
+            return f"id {s!r} holds a line break, surrounding whitespace or a lone surrogate"
+    if not drug or drug.startswith("#") or _is_number(drug):
+        return f"drug id {drug!r} is empty, starts with '#' or reads as a number"
+    return None
+
+
 def _load_delimited(path: str, lines: list[tuple[int, str]]):
     first = lines[0][1]
     sep = "\t" if first.count("\t") >= first.count(",") else ","
@@ -138,8 +159,8 @@ def _load_delimited(path: str, lines: list[tuple[int, str]]):
         if has_ids:
             if len(fields) < 4:
                 raise DataError(f"{where}: expected drug-id, target-id, label, features")
-            if "\t" in fields[0] + fields[1]:  # it could not be written back as TSV
-                raise DataError(f"{where}: a drug or target id holds a tab")
+            if fault := _id_fault(fields[0], fields[1]):  # a feature file could not carry it back
+                raise DataError(f"{where}: {fault}")
             drug_ids.append(fields[0])
             target_ids.append(fields[1])
             fields = fields[2:]

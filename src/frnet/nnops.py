@@ -17,10 +17,15 @@ padded buffer is made only when padding is needed, which is never for a 1x1
 filter. A convolution makes one matmul of that view; reshaping it copies the
 windows, except for a 1x1 filter at stride 1, whose rows are the input's
 pixels. Max pooling keeps a running maximum over the view's k*k window
-offsets. Both backwards call `_scatter`, which adds one adjoint term per
-window offset, in row-major order, into zeros of the input's shape: only the
-rows and columns whose windows read the unpadded input, and no term for an
-offset that reads only padding.
+offsets. It selects by bits, on the same-width unsigned view of the floats:
+`best ^ ((win ^ best) * take)` is `win`'s bit pattern where `take` is 1 and
+`best`'s where it is 0, and its backward multiplies the adjoint's bits by
+0 or 1. Whole bit patterns are picked, never computed, so the result is
+exactly `np.where`'s, signed zeros and NaN payloads included. Both
+backwards call `_scatter`, which adds one adjoint term per window offset, in
+row-major order, into zeros of the input's shape: only the rows and columns
+whose windows read the unpadded input, and no term for an offset that reads
+only padding.
 The identity pool (kernel 1, stride 1) that every inception block holds
 returns its input, and its backward returns the upstream adjoint.
 
@@ -164,16 +169,19 @@ def _maxpool2d_fwd(args, attrs, ctx):
     if k == stride == 1:
         return x, None
     wins = _windows(x, k, k, stride, -np.inf)
-    best = wins[:, :, :, 0, 0, :]
+    bits = wins.view(f"u{x.itemsize}")
+    best_bits = bits[:, :, :, 0, 0, :].copy()
+    best = best_bits.view(x.dtype)  # follows best_bits, which the loop updates in place
     arg = np.zeros(best.shape, dtype=np.min_scalar_type(k * k - 1))
     for n in range(1, k * k):
-        win = wins[:, :, :, n // k, n % k, :]
+        i, j = divmod(n, k)
         # argmax's first-occurrence rule in row-major window order: a later
-        # element wins when it is greater, or a NaN over a number; np.where
-        # selects elements, so signed zeros and NaN payloads pass as they are
-        take = ~(win <= best) & (best == best)
-        best = np.where(take, win, best)
-        arg[take] = n
+        # element wins when it is greater, or a NaN over a number
+        take = ~(wins[:, :, :, i, j, :] <= best) & (best == best)
+        flip = bits[:, :, :, i, j, :] ^ best_bits
+        flip *= take
+        best_bits ^= flip
+        np.maximum(arg, take * arg.dtype.type(n), out=arg)  # offsets rise: the last taken wins
     return best, arg
 
 
@@ -182,9 +190,10 @@ def _maxpool2d_bwd(grad, args, out, saved, attrs, bufs=None):
         return (grad,)
     (x,) = args
     k, stride = attrs["kernel"], attrs["stride"]
-    # the adjoint where offset i*k + j won and +0.0 elsewhere
+    # the adjoint's bits where offset i*k + j won and +0.0's (all zero) elsewhere
+    grad_bits = grad.view(f"u{grad.itemsize}")
     return (_scatter(x.shape, k, k, stride,
-                     lambda i, j: np.where(saved == i * k + j, grad, 0), grad.dtype),)
+                     lambda i, j: (grad_bits * (saved == i * k + j)).view(grad.dtype), grad.dtype),)
 
 
 # ---------------------------------------------------------------------------

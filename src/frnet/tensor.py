@@ -24,39 +24,39 @@ Shape = tuple[int, ...]
 # temporary.
 CHUNK = 1 << 16
 
-# Elements below which `run_chunked` (Adam's step and its state's init, and
-# a weight's Glorot draws) stays on the calling thread. On the
-# 2-core machine the benchmark was measured on, a helper thread and its
-# interpreter-lock handoffs cost about what the second core saves at 12
-# CHUNKs, while at 1272 CHUNKs (the paper-width FRnet-1 fc1/w) Adam drops
-# from 0.84 s to 0.50 s. That break-even holds for Adam alone, not right
-# after a backward pass: with the split forced for FRnet-1 at
-# acceptance-sanity widths (880,399 elements, 13.4 CHUNKs), Adam inside a
-# training step went 7.4-7.6 -> 7.6-8.2 ms, yet 6.6-7.0 -> 4.1 ms in a
-# standalone loop, 7.4-8.7 -> 5.4 ms with one OpenBLAS thread, and
-# 9.3-10.2 -> 6.2-6.5 ms when Adam started 0.2 s after backward. The likely
-# cause is OpenBLAS's worker still spinning on the second core right after
-# backward's BLAS calls.
+# `run_chunked`'s default smallest split, in elements: below it Adam's step,
+# its state's init and a weight's Glorot draws stay on the calling thread.
+# On the 2-core benchmark machine a helper thread and its interpreter-lock
+# handoffs cost about what the second core saves at 12 CHUNKs, while at 1272
+# CHUNKs (the paper-width FRnet-1 fc1/w) Adam drops from 0.84 s to 0.50 s.
+# Right after a backward pass the break-even is higher, likely because
+# OpenBLAS's worker still spins on the second core: at acceptance-sanity
+# widths (13.4 CHUNKs) a forced split took Adam inside a training step from
+# 7.4-7.6 to 7.6-8.2 ms, though from 6.6-7.0 to 4.1 ms in a standalone loop.
 PARALLEL_MIN = 16 * CHUNK
 
 
-def run_chunked(n: int, body) -> list:
-    """Run `body(lo, hi)` over the flat range [0, n); return its results in range order.
+def run_chunked(n: int, body, *, align: int = CHUNK, min_split: int = PARALLEL_MIN) -> list:
+    """Run `body(lo, hi)` over the range [0, n); return its results in range order.
 
-    With at least PARALLEL_MIN elements and two or more usable cores (the
-    process's CPU affinity), the range splits at a CHUNK boundary near its
-    middle: a helper thread runs the upper piece while the calling thread
-    runs the lower one, and both are joined before this returns. An
-    exception raised on the helper thread is re-raised here, and the helper
-    runs in a copy of the caller's context, so numpy's error state (as set
-    by `np.errstate`) holds on both pieces. Otherwise
-    `body(0, n)` runs on the calling thread alone. `body` must touch only
-    its own piece, and on the helper thread it should call only numpy,
-    which releases the interpreter lock inside its loops.
+    Four callers use it: Adam's step and its state's init (`optim`) and a
+    weight's Glorot draws (`models._glorot`) split flat elements with the
+    defaults, and a checkpoint load (`checkpoint._read_blocks`) splits its
+    blocks with `align=1, min_split=2`. With at least `min_split` items and
+    two or more usable cores (the process's CPU affinity), the range splits
+    at a multiple of `align` near its middle: a helper thread runs the upper
+    piece while the calling thread runs the lower one, and both are joined
+    before this returns or raises. An exception raised on either piece is
+    raised here (the calling thread's, when both raise). The helper runs in
+    a copy of the caller's context, so numpy's error state (as set by
+    `np.errstate`) holds on both pieces. Otherwise `body(0, n)` runs on the
+    calling thread alone. `body` must touch only its own piece, and the
+    helper gains only while it runs code that releases the interpreter
+    lock: numpy's loops, `os.preadv`, `hashlib`.
     """
-    if n < PARALLEL_MIN or len(os.sched_getaffinity(0)) < 2:
+    if n < min_split or len(os.sched_getaffinity(0)) < 2:
         return [body(0, n)]
-    mid = (n + CHUNK) // (2 * CHUNK) * CHUNK
+    mid = (n + align) // (2 * align) * align
     results: list = [None, None]
     errors: list = []
 

@@ -356,6 +356,32 @@ def test_a_read_error_on_the_helper_is_a_checkpoint_error(tmp_path, monkeypatch)
     assert threading.active_count() == threads  # the helper was joined
 
 
+def test_a_read_error_on_the_calling_thread_is_a_checkpoint_error(tmp_path, monkeypatch):
+    # the helper's half is read to its end before the error is raised
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
+    path = str(tmp_path / "e.ckpt")
+    save(_state(), path)
+    blocks = -(-(os.path.getsize(path) - 8) // 4096)
+    caller = threading.current_thread()
+    helper_reads = []
+    real = os.preadv
+
+    def preadv(fd, buffers, offset):
+        if threading.current_thread() is caller:
+            raise OSError(errno.EIO, "simulated read error")
+        helper_reads.append(offset // 4096)
+        return real(fd, buffers, offset)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "preadv", preadv)
+    with pytest.raises(CheckpointError, match="simulated read error"):
+        load(path)
+    monkeypatch.undo()
+    assert threading.active_count() == threads  # the helper was joined
+    assert helper_reads == list(range((blocks + 1) // 2, blocks))
+
+
 @pytest.mark.parametrize("prefix", [b"drug-id\ttarget-id\tlabel\t", MAGIC + (99).to_bytes(4, "little")])
 def test_a_bad_prefix_fails_before_the_body_is_read(tmp_path, monkeypatch, prefix):
     path = str(tmp_path / "not.ckpt")

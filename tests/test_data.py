@@ -93,6 +93,37 @@ def test_an_id_holding_a_tab_is_refused(tmp_path):
             load_dataset(str(p))
 
 
+@pytest.mark.parametrize("drug, target", [
+    ("#d0", "t0"),  # read back as a comment line, so the row is lost
+    (" d0", "t0"), ("d0 ", "t0"), ("d0", "\tt0"), ("d0", "t0\u00a0"),  # stripped on reading
+    ("d\t0", "t0"), ("d0", "t\t0"),  # split into two fields
+    ("d\x850", "t0"), ("d0", "t\n0"), ("d\r\n0", "t0"), ("d0", "t\u20280"),  # split into two lines
+    ("7", "t0"), ("-1e5", "t0"), ("nan", "t0"),  # read as a row without ids
+    ("", "#t0"),  # the line's leading tab is stripped and it reads as a comment
+    ("d\ud8000", "t0"),  # not UTF-8 text
+])
+def test_a_dataset_refuses_ids_a_feature_file_cannot_carry_back(drug, target):
+    with pytest.raises(DataError, match="dataset toy: row 1: "):
+        Dataset("toy", ("d0", drug, "d2"), ("t0", target, "t2"),
+                np.zeros((3, 2), np.float32), np.array([0, 1, 0]))
+
+
+def test_ids_that_round_trip_are_kept(tmp_path):
+    drugs, targets = ("d#0", "d 1", "7x", "DB00001"), ("7", "#t", "", "t\u00e9")
+    d = Dataset("toy", drugs, targets, np.zeros((4, 1), np.float32), np.array([0, 1, 0, 1]))
+    path = str(tmp_path / "ids.tsv")
+    write_feature_file(path, d)
+    back = read_feature_file(path)
+    assert back.drug_ids == drugs and back.target_ids == targets
+
+
+def test_a_comma_file_with_an_empty_drug_id_names_the_line(tmp_path):
+    p = tmp_path / "ids.csv"
+    p.write_text("d1,t1,1,0.5\n,t2,0,0.25\n")
+    with pytest.raises(DataError, match="ids.csv:2: drug id '' is empty"):
+        load_dataset(str(p))
+
+
 def test_empty_file_is_a_parse_error(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
@@ -524,6 +555,38 @@ _contents = st.one_of(
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "data.txt")
+
+
+_ids = st.one_of(
+    st.sampled_from(["d0", "#d", "7", "1e5", "nan", " d", "d ", "", "a\tb", "a\x85b", "a\rb", "t#"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = st.lists(_ids, min_size=n, max_size=n)
+    feats = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                     min_size=n * width, max_size=n * width)
+    return (draw(rows), draw(rows), np.array(draw(feats), np.float32).reshape(n, width),
+            np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+
+
+@FUZZ
+@given(parts=_datasets())
+def test_every_dataset_that_constructs_round_trips_through_a_feature_file(fuzz_path, parts):
+    # rows >= 1 and width >= 1: a file of no rows or no features is refused on reading
+    drugs, targets, feats, labels = parts
+    try:
+        d = Dataset("toy", tuple(drugs), tuple(targets), feats, labels)
+    except DataError:
+        return
+    write_feature_file(fuzz_path, d)
+    back = read_feature_file(fuzz_path)
+    assert back.drug_ids == d.drug_ids and back.target_ids == d.target_ids
+    assert back.labels.tolist() == d.labels.tolist()
+    assert back.features.tobytes() == d.features.tobytes()
 
 
 @FUZZ

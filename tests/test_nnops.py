@@ -411,8 +411,15 @@ def test_conv2d_kxk_is_bitwise_the_padded_reference(x_shape, fshape, stride):
         _assert_same_bytes(got, want)
 
 
+_PAYLOAD_NAN = np.uint32(0x7FC00001).view(np.float32)  # a quiet NaN with payload 1
+_NEGATIVE_NAN = np.uint32(0xFFC00000).view(np.float32)
+
+
 def _tie_windows(shape, rng):
-    # 2x2 windows of all-equal values, -inf, NaN and +-0.0 ties among random ones
+    # 2x2 windows of all-equal values, -inf, NaN and +-0.0 ties among random
+    # ones; the window at rows and columns 2:4 holds two NaNs, the default
+    # one twice in channel 0 and, in the others, a payload NaN before a
+    # negative one
     x = rng.standard_normal(shape).astype(np.float32)
     x[:, 0:2, 0:2, :] = 1.5
     x[:, 0:2, 2:4, :] = -np.inf
@@ -421,6 +428,8 @@ def _tie_windows(shape, rng):
     x[:, 2:4, 2:4, :] = -1.0
     x[:, 3, 2, :] = np.nan
     x[:, 2, 3, :] = np.nan
+    x[:, 2, 3, 1:] = _PAYLOAD_NAN
+    x[:, 3, 2, 1:] = _NEGATIVE_NAN
     return x
 
 

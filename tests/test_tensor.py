@@ -1,6 +1,8 @@
 """Tensor construction and ownership, `run_chunked`, and the graph's
 elementwise product, matmul and channel-concat ops against oracles."""
 
+import ast
+import os
 import threading
 
 import numpy as np
@@ -128,14 +130,14 @@ def test_concat_then_slice_recovers_parts_bitwise():
         start += c
 
 
-def _pieces(n):
+def _pieces(n, **split):
     seen = []
 
     def body(lo, hi):
         seen.append((lo, hi, threading.current_thread() is threading.main_thread()))
         return (lo, hi)
 
-    return run_chunked(n, body), sorted(seen)
+    return run_chunked(n, body, **split), sorted(seen)
 
 
 @pytest.mark.parametrize(
@@ -152,6 +154,19 @@ def test_run_chunked_splits_at_a_chunk_boundary_over_two_threads(n, monkeypatch)
     assert abs((n - mid) - mid) <= CHUNK
     assert (main0, main1) == (True, False)
     assert results == [(0, mid), (mid, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 46])
+def test_run_chunked_splits_single_items_from_two(n, monkeypatch):
+    # the checkpoint block read's split: alignment 1, two items or more
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    results, seen = _pieces(n, align=1, min_split=2)
+    if n == 1:
+        assert results == [(0, 1)] and seen == [(0, 1, True)]
+        return
+    mid = (n + 1) // 2
+    assert results == [(0, mid), (mid, n)]
+    assert seen == [(0, mid, True), (mid, n, False)]
 
 
 def test_run_chunked_on_one_cpu_stays_on_the_calling_thread(monkeypatch):
@@ -182,3 +197,34 @@ def test_run_chunked_helper_keeps_the_callers_numpy_error_state(monkeypatch):
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         run_chunked(PARALLEL_MIN, body)
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "frnet")
+
+
+def _thread_imports(path: str) -> list[int]:
+    """Lines of the module at `path` that import `threading` or `concurrent`."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] in ("threading", "concurrent") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(n for n in os.listdir(_SRC) if n.endswith(".py")))
+def test_only_tensor_starts_threads(module):
+    # every helper thread comes from run_chunked, so its split, context copy
+    # and error hand-off live in one place
+    imports = _thread_imports(os.path.join(_SRC, module))
+    if module == "tensor.py":
+        assert imports, "run_chunked's import is not seen"
+    else:
+        assert imports == [], f"{module} imports threading or concurrent at lines {imports}"
