@@ -27,20 +27,24 @@ disagreement raises CheckpointError and yields no partial state. There is
 no optimizer section; the `"optimizer": null` key that older writers put in
 the header is ignored.
 
-A load reads the 12-byte prefix first, and a file whose magic or version is
-wrong fails before anything more is allocated, read or hashed. The file is
-then read once into one buffer placed so that the payload starts on a
-64-byte boundary. Its checksum blocks split into two static halves
-(`tensor.run_chunked`), which balance because blocks are equal-sized: the
-calling thread reads and hashes the lower half and, when the file has two or
-more blocks and the process two or more usable cores, one helper thread the
-upper half, each block with one positioned read. An error on either half is
-raised once both have finished. Parameters come back as aligned,
-C-contiguous float32 views into that buffer, not copies; the small scaling
-arrays are copied, so a scaling record alone does not keep the buffer alive.
-A file that ends early or grows while it is read, or that is too large to
-hold in memory, is a CheckpointError. A save writes and hashes each section
-straight from its array, with no joined copy.
+A checkpoint is one byte buffer on both sides, and one routine,
+`_digests`, hashes its checksum blocks for a save and a load alike. The
+blocks split into two static halves (`tensor.run_chunked`), which balance
+because blocks are equal-sized: the calling thread takes the lower half
+and, when there are two or more blocks and the process has two or more
+usable cores, one helper thread the upper half. An error on either half is
+raised once both have finished. A save builds the file in one buffer of
+its size, each section converted to float32 on the way in, hashes it and
+writes it through `data.atomic_write` in one call. A load reads the 12-byte
+prefix first, so a file whose magic or version is wrong fails before
+anything more is allocated, read or hashed. It then reads the file once
+into one buffer placed so that the payload starts on a 64-byte boundary,
+each half reading its blocks with one positioned read apiece before hashing
+them. Parameters come back as aligned, C-contiguous float32 views into that
+buffer, not copies; the small scaling arrays are copied, so a scaling
+record alone does not keep the buffer alive. A file that ends early or
+grows while it is read, or that is too large to hold in memory, is a
+CheckpointError.
 """
 
 import hashlib
@@ -59,7 +63,7 @@ from .tensor import run_chunked
 MAGIC = b"FRNT"
 VERSION = 2
 CHECKSUMS = {1: "sha256-64", 2: "sha256-blocks-64"}  # the header's checksum name, by version
-HASH_BLOCK = 8 << 20  # bytes per checksum block (a format constant), and per read on a load
+HASH_BLOCK = 8 << 20  # bytes per checksum block on save and load (a format constant), and per read on a load
 ALIGN = 64  # byte boundary the payload of a loaded checkpoint starts on
 
 
@@ -90,40 +94,18 @@ def _validate_against_spec(state: ModelState) -> None:
             raise CheckpointError(f"parameter {name}: shape {got} does not match spec {shape}")
 
 
-def _f32(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype="<f4")
+def _digests(body: memoryview, first: int, last: int) -> list[bytes]:
+    """The SHA-256 digests of checksum blocks [first, last) of `body`, the bytes before the trailer."""
+    return [hashlib.sha256(body[k * HASH_BLOCK : (k + 1) * HASH_BLOCK]).digest() for k in range(first, last)]
 
 
-def _join_digests(digests: list[bytes]) -> bytes:
-    return hashlib.sha256(b"".join(digests)).digest()[:8]
-
-
-class _BlockHasher:
-    """The block checksum of a byte stream fed in pieces of any length."""
-
-    def __init__(self):
-        self._digests: list[bytes] = []
-        self._block = hashlib.sha256()
-        self._filled = 0
-
-    def update(self, data) -> None:
-        view = memoryview(data).cast("B")
-        while len(view):
-            n = min(len(view), HASH_BLOCK - self._filled)
-            self._block.update(view[:n])
-            self._filled += n
-            view = view[n:]
-            if self._filled == HASH_BLOCK:
-                self._digests.append(self._block.digest())
-                self._block, self._filled = hashlib.sha256(), 0
-
-    def checksum(self) -> bytes:
-        tail = [self._block.digest()] if self._filled else []
-        return _join_digests(self._digests + tail)
+def _checksum(halves: list[list[bytes]]) -> bytes:
+    """The version-2 trailer: the first 8 bytes of the SHA-256 of the halves' digests joined in order."""
+    return hashlib.sha256(b"".join(d for half in halves for d in half)).digest()[:8]
 
 
 def save(state: ModelState, path: str) -> None:
-    """Write the checkpoint atomically (`data.atomic_write`)."""
+    """Write the checkpoint atomically (`data.atomic_write`), built and hashed in one buffer."""
     _validate_against_spec(state)
     param_names = list(state.params)
     header = {
@@ -139,22 +121,29 @@ def save(state: ModelState, path: str) -> None:
         "spec": state.spec_dict,
         "version": VERSION,
     }
-    sections = [_f32(state.params[n]) for n in param_names]
+    sections = [state.params[n] for n in param_names]
     if state.scaling is not None:
         mins, maxs = state.scaling
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise CheckpointError("scaling record needs parallel 1-d min/max arrays")
         header["scaling"] = {"width": int(mins.shape[0])}
-        sections += [_f32(mins), _f32(maxs)]
+        sections += [mins, maxs]
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    prefix = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little")
-    hasher = _BlockHasher()
+    head = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little") + header_bytes
+    whole = np.empty(len(head) + sum(4 * a.size for a in sections) + 8, np.uint8)
+    whole[: len(head)] = np.frombuffer(head, np.uint8)
+    pos = len(head)
+    for a in sections:  # stored as float32, converted on the way in
+        whole[pos : pos + 4 * a.size].view("<f4").reshape(a.shape)[...] = a
+        pos += 4 * a.size
+    body = memoryview(whole)[:-8]
+    halves = run_chunked(
+        -(-len(body) // HASH_BLOCK), lambda first, last: _digests(body, first, last), align=1, min_split=2
+    )
+    whole[-8:] = np.frombuffer(_checksum(halves), np.uint8)
     with atomic_write(path, binary=True) as fh:
-        for part in (prefix, header_bytes, *(memoryview(a) for a in sections)):
-            hasher.update(part)
-            fh.write(part)
-        fh.write(hasher.checksum())
+        fh.write(whole)
 
 
 def _is_int(x) -> bool:
@@ -192,36 +181,33 @@ def _check_header(header, version: int, path: str) -> None:
     need(isinstance(header.get("extras", {}), dict), "'extras' must be an object")
 
 
-def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> bytes:
+def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> list[list[bytes]]:
     """Read the file behind `fd` into `whole`, whose first 12 bytes are already filled.
 
     Each half of the HASH_BLOCK-byte blocks (`tensor.run_chunked`) reads its
     blocks in order with os.preadv, the last block's read taking the 8-byte
-    trailer too, and with `hash_blocks` hashes each. Returns the block
-    checksum, or b"" without `hash_blocks`.
+    trailer too, then with `hash_blocks` takes their digests (`_digests`).
+    Returns each half's digests, empty without `hash_blocks`.
     """
     size = len(whole)
-    hashed = size - 8
+    body = whole[: size - 8]
 
     def read(first: int, last: int) -> list[bytes]:
-        digests = []
         for k in range(first, last):
             lo = k * HASH_BLOCK
-            hi = min(lo + HASH_BLOCK, hashed)
-            pos, end = max(lo, 12), hi if hi < hashed else size
+            hi = min(lo + HASH_BLOCK, len(body))
+            pos, end = max(lo, 12), hi if hi < len(body) else size
             while pos < end:
                 n = os.preadv(fd, [whole[pos:end]], pos)
                 if not n:
                     raise CheckpointError(f"{path}: file ended at byte {pos} of {size} while being read")
                 pos += n
-            if hash_blocks:
-                digests.append(hashlib.sha256(whole[lo:hi]).digest())
-        return digests
+        return _digests(body, first, last) if hash_blocks else []
 
-    halves = run_chunked(-(-hashed // HASH_BLOCK), read, align=1, min_split=2)
+    halves = run_chunked(-(-len(body) // HASH_BLOCK), read, align=1, min_split=2)
     if os.pread(fd, 1, size):
         raise CheckpointError(f"{path}: file grew past {size} bytes while being read")
-    return _join_digests([d for half in halves for d in half]) if hash_blocks else b""
+    return halves
 
 
 def _read(path: str) -> tuple[int, np.ndarray]:
@@ -258,11 +244,10 @@ def _read(path: str) -> tuple[int, np.ndarray]:
             start = -(buf.__array_interface__["data"][0] + 12 + header_len) % ALIGN
             whole = buf[start : start + size]
             whole[:12] = np.frombuffer(prefix, np.uint8)
-            digest = _read_blocks(fd, memoryview(whole), version == VERSION, path)
+            halves = _read_blocks(fd, memoryview(whole), version == VERSION, path)
     except OSError as e:
         raise CheckpointError(f"{path}: {e}") from None
-    if version == 1:
-        digest = hashlib.sha256(whole[:-8]).digest()[:8]
+    digest = _checksum(halves) if version == VERSION else hashlib.sha256(whole[:-8]).digest()[:8]
     if digest != whole[-8:].tobytes():
         raise CheckpointError(f"{path}: checksum mismatch, file corrupt or truncated")
     return version, whole

@@ -182,8 +182,8 @@ def _load_delimited(path: str, lines: list[tuple[int, str]]):
     return drug_ids, target_ids, labels, np.array(rows, dtype=np.float32)
 
 
-def _load_sparse(path: str, lines: list[tuple[int, str]], feature_count: int | None):
-    labels, entries, max_idx, saw_zero = [], [], -1, False
+def _load_sparse(path: str, lines: list[tuple[int, str]]):
+    labels, entries, max_idx = [], [], -1
     for lineno, line in lines:
         where = f"{path}:{lineno}"
         tokens = line.split()
@@ -199,12 +199,8 @@ def _load_sparse(path: str, lines: list[tuple[int, str]], feature_count: int | N
                 raise DataError(f"{where}: negative feature index {idx}")
             pairs.append((idx, val))
             max_idx = max(max_idx, idx)
-            saw_zero = saw_zero or idx == 0
         entries.append(pairs)
-    # Indices are 0-based; a file that never uses index 0 and tops out at
-    # exactly the declared width is accepted as 1-based.
-    base = 1 if (feature_count is not None and not saw_zero and max_idx == feature_count) else 0
-    width = feature_count if feature_count is not None else max_idx + 1
+    width = max_idx + 1  # indices are 0-based
     if width < 1:
         raise DataError(f"{path}: could not infer feature width")
     try:
@@ -213,20 +209,12 @@ def _load_sparse(path: str, lines: list[tuple[int, str]], feature_count: int | N
         raise DataError(f"{path}: cannot allocate {len(entries)} rows of width {width}") from None
     for row, pairs in enumerate(entries):
         for idx, val in pairs:
-            j = idx - base
-            if j >= width or j < 0:
-                raise DataError(f"{path}: feature index {idx} out of range for width {width}")
-            feats[row, j] = val
+            feats[row, idx] = val
     ids = [f"row{i}" for i in range(len(entries))]
     return ids, list(ids), labels, feats
 
 
-def load_dataset(
-    path: str,
-    format: str = DELIMITED,
-    name: str = "custom",
-    feature_count: int | None = None,
-) -> Dataset:
+def load_dataset(path: str, format: str = DELIMITED, name: str = "custom") -> Dataset:
     """Parse a dataset file; errors carry path and line number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,13 +231,9 @@ def load_dataset(
     if format == DELIMITED:
         drug_ids, target_ids, labels, feats = _load_delimited(path, lines)
     elif format == SPARSE:
-        drug_ids, target_ids, labels, feats = _load_sparse(path, lines, feature_count)
+        drug_ids, target_ids, labels, feats = _load_sparse(path, lines)
     else:
         raise DataError(f"unknown dataset format {format!r}; expected {DELIMITED!r} or {SPARSE!r}")
-    if feature_count is not None and feats.shape[1] != feature_count:
-        raise DataError(
-            f"{path}: rows carry {feats.shape[1]} features, expected {feature_count}"
-        )
     return Dataset(name, tuple(drug_ids), tuple(target_ids), feats, np.array(labels))
 
 
@@ -407,6 +391,8 @@ def write_table(path: str, columns, rows) -> None:
 
 
 def write_feature_file(path: str, d: Dataset) -> None:
+    if not len(d) or not d.feature_count:  # `read_feature_file` would refuse the file
+        raise DataError(f"dataset {d.name}: a feature file needs rows and features, got {d.features.shape}")
     columns = ["drug-id", "target-id", "label"] + [f"f{i}" for i in range(d.feature_count)]
     write_table(path, columns, (
         [d.drug_ids[i], d.target_ids[i], str(int(d.labels[i]))] + [_F32_FMT % v for v in d.features[i]]

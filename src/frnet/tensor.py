@@ -39,20 +39,22 @@ PARALLEL_MIN = 16 * CHUNK
 def run_chunked(n: int, body, *, align: int = CHUNK, min_split: int = PARALLEL_MIN) -> list:
     """Run `body(lo, hi)` over the range [0, n); return its results in range order.
 
-    Four callers use it: Adam's step and its state's init (`optim`) and a
+    Five callers use it: Adam's step and its state's init (`optim`) and a
     weight's Glorot draws (`models._glorot`) split flat elements with the
-    defaults, and a checkpoint load (`checkpoint._read_blocks`) splits its
-    blocks with `align=1, min_split=2`. With at least `min_split` items and
-    two or more usable cores (the process's CPU affinity), the range splits
-    at a multiple of `align` near its middle: a helper thread runs the upper
-    piece while the calling thread runs the lower one, and both are joined
-    before this returns or raises. An exception raised on either piece is
-    raised here (the calling thread's, when both raise). The helper runs in
-    a copy of the caller's context, so numpy's error state (as set by
-    `np.errstate`) holds on both pieces. Otherwise `body(0, n)` runs on the
-    calling thread alone. `body` must touch only its own piece, and the
-    helper gains only while it runs code that releases the interpreter
-    lock: numpy's loops, `os.preadv`, `hashlib`.
+    defaults, and a checkpoint's save (its checksum) and its load
+    (`checkpoint._read_blocks`) split its blocks with `align=1, min_split=2`,
+    each hashing them through `checkpoint._digests`. With at least
+    `min_split` items and two or more usable cores (the process's CPU
+    affinity), the range splits at a multiple of `align` near its middle: a
+    helper thread runs the upper piece while the calling thread runs the
+    lower one, and both are joined before this returns or raises. An
+    exception raised on either piece is raised here (the calling thread's,
+    when both raise). The helper runs in a copy of the caller's context, so
+    numpy's error state (as set by `np.errstate`) holds on both pieces.
+    Otherwise `body(0, n)` runs on the calling thread alone. `body` must
+    touch only its own piece, and the helper gains only while it runs code
+    that releases the interpreter lock: numpy's loops, `os.preadv`,
+    `hashlib`.
     """
     if n < min_split or len(os.sched_getaffinity(0)) < 2:
         return [body(0, n)]

@@ -382,6 +382,74 @@ def test_a_read_error_on_the_calling_thread_is_a_checkpoint_error(tmp_path, monk
     assert helper_reads == list(range((blocks + 1) // 2, blocks))
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_only_a_save_of_two_or_more_blocks_starts_a_helper(tmp_path, monkeypatch, blocks):
+    state, path = _sanity_checkpoint(tmp_path, monkeypatch, blocks)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
+    started = _counting_thread_starts(monkeypatch)
+    save(state, path)
+    assert len(started) == blocks - 1
+    _assert_loads_bitwise(path, state)
+
+
+def test_a_save_on_one_core_starts_no_helper(tmp_path, monkeypatch):
+    state, path = _sanity_checkpoint(tmp_path, monkeypatch, 2)
+    blob = open(path, "rb").read()
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0})
+    started = _counting_thread_starts(monkeypatch)
+    save(state, path)
+    assert started == []
+    assert open(path, "rb").read() == blob
+
+
+def test_an_error_on_the_helper_while_saving_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.current_thread()
+    real = checkpoint._digests
+    failed = []
+
+    def digests(body, first, last):
+        if threading.current_thread() is not caller:
+            failed.append(first)
+            raise RuntimeError("simulated hashing failure")
+        return real(body, first, last)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(checkpoint, "_digests", digests)
+    with pytest.raises(RuntimeError, match="simulated hashing failure"):
+        save(_state(), str(tmp_path / "h.ckpt"))
+    assert failed and failed[0] > 0  # the upper half, on the helper
+    assert threading.active_count() == threads  # the helper was joined
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_and_load_take_every_block_digest_through_one_routine(tmp_path, monkeypatch):
+    # `_digests` is swapped for a routine no other code computes: a save that
+    # hashed elsewhere would write the true trailer, which this load refuses,
+    # and a load that hashed elsewhere would refuse the trailer this save wrote
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 4096)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
+    real = checkpoint._digests
+    covered = []
+
+    def digests(body, first, last):
+        covered.extend(range(first, last))
+        return [hashlib.sha256(b"salt" + d).digest() for d in real(body, first, last)]
+
+    monkeypatch.setattr(checkpoint, "_digests", digests)
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "d.ckpt")
+    save(state, path)
+    blocks = -(-(os.path.getsize(path) - 8) // 4096)
+    assert blocks > 40 and sorted(covered) == list(range(blocks))
+    blob, joined = open(path, "rb").read(), _joined_bytes(state)
+    assert blob[:-8] == joined[:-8] and blob[-8:] != joined[-8:]
+    covered.clear()
+    _assert_loads_bitwise(path, state)
+    assert sorted(covered) == list(range(blocks))
+
+
 @pytest.mark.parametrize("prefix", [b"drug-id\ttarget-id\tlabel\t", MAGIC + (99).to_bytes(4, "little")])
 def test_a_bad_prefix_fails_before_the_body_is_read(tmp_path, monkeypatch, prefix):
     path = str(tmp_path / "not.ckpt")
