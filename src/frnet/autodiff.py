@@ -84,6 +84,10 @@ class Node:
 class Graph:
     """Append-only operator graph; creation order is the evaluation order.
 
+    The graph holds at most one forward pass: its values and saved contexts,
+    which `backward` and `value` read. A new pass drops the previous one
+    before it runs, and a pass that raises leaves none.
+
     The graph owns one gradient buffer per parameter node, made by the first
     backward pass that reaches it and overwritten by every later one.
     """
@@ -172,7 +176,12 @@ class Graph:
         array, which `optim.adam_step` overwrites. Eval mode makes dropout
         the identity; in train mode masks are fully determined by
         dropout_seed, so identical calls are bitwise identical.
+
+        The graph's previous pass is dropped first, so only this pass's
+        values and saved contexts are held while it runs; if it raises, the
+        graph holds no pass at all.
         """
+        self._values, self._saved = {}, {}  # drop the previous pass first
         if mode not in (TRAIN, EVAL):
             raise GraphError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
         if outputs is not None:
@@ -211,8 +220,10 @@ class Graph:
 
         Returns the gradient tensor for every parameter node (zeros for
         parameters the loss does not depend on), read-only and uncopied.
-        Requires a prior forward pass that computed the loss node; the walk
-        visits only nodes holding an adjoint, which are ancestors of the loss.
+        Requires that the graph's pass, the last forward, computed the loss
+        node (after a forward that raised there is none); the walk visits
+        only nodes holding an adjoint, which are ancestors of the loss, and
+        lets go of each node's adjoint once its rule has used it.
 
         Each parameter's gradient is its graph-owned buffer, so the returned
         tensors share storage with the buffers and the next backward pass
@@ -235,7 +246,7 @@ class Graph:
         for node in reversed(self.nodes):
             if node.id not in adjoints or not node.inputs:
                 continue
-            grad, args = adjoints[node.id], [self._values[i] for i in node.inputs]
+            grad, args = adjoints.pop(node.id), [self._values[i] for i in node.inputs]
             bufs = tuple(
                 self._grad_buffer(i, x.shape, x.dtype)
                 if self.nodes[i].is_parameter and i not in adjoints and node.inputs.count(i) == 1

@@ -103,6 +103,23 @@ def test_disconnected_parameter_gets_zero_gradient():
     assert grads[unused].tolist() == [[0.0, 0.0]]
 
 
+def test_a_pass_that_raises_leaves_nothing_behind():
+    g = Graph()
+    w = g.parameter("w", Tensor([2.0]))
+    x = g.placeholder("x")
+    y = g.apply("mul", [w, x])
+    loss = g.apply("reduce_sum", [y])
+    g.forward({x: Tensor([3.0])})
+    assert g.backward(loss)[w].tolist() == [3.0]
+    with pytest.raises(GraphError, match="missing feed"):
+        g.forward({})
+    # the earlier pass is gone, not left for backward or value to read
+    with pytest.raises(GraphError):
+        g.backward(loss)
+    with pytest.raises(GraphError):
+        g.value(y)
+
+
 def test_forward_computes_only_requested_ancestors():
     g = Graph()
     x = g.placeholder("x")

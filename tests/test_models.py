@@ -1,6 +1,7 @@
 """Network builders: shape traces, parameter counts, weight init, extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,24 @@ def test_zero_weight_model_gives_equal_rows():
     preds = model.predict(x)
     # zero logits: sigmoid gives 0.5 everywhere
     assert np.all(preds == 0.5)
+
+
+def test_a_second_block_does_not_hold_the_first_blocks_activations():
+    # the acceptance-sanity classifier, one 32-row eval block at a time
+    model = compile_model(build_frnet2(feature_count=256, hidden=(64, 32)), init_seed=5)
+    blocks = np.random.default_rng(4).random((2, 32, 16, 16, 1), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        model.predict(blocks[0])
+        first = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        model.predict(blocks[1])
+        second = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the first pass's values are dropped before the second one runs
+    assert second <= first * 1.05, (first, second)
 
 
 def test_compile_is_seed_deterministic():
