@@ -19,13 +19,16 @@ Version 1 files are still read: their header names "sha256-64" and their
 last 8 bytes are the first 8 bytes of one SHA-256 over everything before
 them. Saves write version 2.
 
-The header carries the model kind, seed, config digest, the full network
-spec, and a manifest naming every payload array with its shape, so a load
-can validate structure before touching the payload. Loads fail closed: bad
-magic, unknown version, checksum mismatch, or any manifest/spec
-disagreement raises CheckpointError and yields no partial state. There is
-no optimizer section; the `"optimizer": null` key that older writers put in
-the header is ignored.
+The header holds six keys, each fact once: "checksum" (the algorithm),
+"config_digest", "params" (each payload array's name and shape), "scaling"
+(null or the scaling arrays' width), "seed" and "spec" (the network spec,
+model kind included), so a load can validate structure before touching the
+payload. A save checks the header it built with the load's `_check_header`,
+so it never writes a file its own load refuses. Loads fail closed: bad
+magic, unknown version, checksum mismatch, a header nested too deep to
+parse, or any manifest/spec disagreement raises CheckpointError and yields
+no partial state. Keys older writers added ("optimizer", "extras",
+"model_kind", "version") are ignored, whatever their values.
 
 A checkpoint is one byte buffer on both sides, and one routine,
 `_digests`, hashes its checksum blocks for a save and a load alike. The
@@ -51,7 +54,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,20 +72,21 @@ ALIGN = 64  # byte boundary the payload of a loaded checkpoint starts on
 
 @dataclass
 class ModelState:
-    """Everything a checkpoint persists for one trained model."""
+    """Everything a checkpoint persists for one trained model: its spec,
+    parameters, seed, config digest and, for an autoencoder, its scaling
+    record (parallel 1-d mins and maxs)."""
 
     spec_dict: dict
     params: dict[str, np.ndarray]
     seed: int = 0
     config_digest: str = ""
     scaling: tuple[np.ndarray, np.ndarray] | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _validate_against_spec(state: ModelState) -> None:
     try:
         manifest = models.parameter_manifest(models.spec_from_dict(state.spec_dict))
-    except (KeyError, TypeError, ValueError, FrnetError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError, FrnetError) as e:
         raise CheckpointError(f"malformed network spec: {e!r}") from None
     if set(state.params) != set(manifest):
         missing = sorted(set(manifest) - set(state.params))
@@ -107,28 +111,23 @@ def _checksum(halves: list[list[bytes]]) -> bytes:
 def save(state: ModelState, path: str) -> None:
     """Write the checkpoint atomically (`data.atomic_write`), built and hashed in one buffer."""
     _validate_against_spec(state)
-    param_names = list(state.params)
-    header = {
-        "checksum": CHECKSUMS[VERSION],
-        "config_digest": state.config_digest,
-        "extras": state.extras,
-        "model_kind": state.spec_dict["model_kind"],
-        "params": [
-            {"name": n, "shape": list(state.params[n].shape)} for n in param_names
-        ],
-        "scaling": None,
-        "seed": state.seed,
-        "spec": state.spec_dict,
-        "version": VERSION,
-    }
-    sections = [state.params[n] for n in param_names]
+    sections = list(state.params.values())
+    scaling = None
     if state.scaling is not None:
         mins, maxs = state.scaling
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise CheckpointError("scaling record needs parallel 1-d min/max arrays")
-        header["scaling"] = {"width": int(mins.shape[0])}
+        scaling = {"width": int(mins.shape[0])}
         sections += [mins, maxs]
-
+    header = {
+        "checksum": CHECKSUMS[VERSION],
+        "config_digest": state.config_digest,
+        "params": [{"name": n, "shape": list(a.shape)} for n, a in state.params.items()],
+        "scaling": scaling,
+        "seed": state.seed,
+        "spec": state.spec_dict,
+    }
+    _check_header(header, VERSION, path)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little") + header_bytes
     whole = np.empty(len(head) + sum(4 * a.size for a in sections) + 8, np.uint8)
@@ -151,7 +150,7 @@ def _is_int(x) -> bool:
 
 
 def _check_header(header, version: int, path: str) -> None:
-    """Reject a header whose keys are missing or of the wrong type."""
+    """Reject a header whose keys are missing or of the wrong type; other keys are ignored."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -170,15 +169,14 @@ def _check_header(header, version: int, path: str) -> None:
             "each 'params' entry needs a string 'name' and a list of extents 'shape'",
         )
     scaling = header.get("scaling")
+    width = scaling.get("width") if isinstance(scaling, dict) else None
     need(
-        "scaling" in header
-        and (scaling is None or isinstance(scaling, dict) and _is_int(scaling.get("width"))),
-        "'scaling' must be null or hold an integer 'width'",
+        "scaling" in header and (scaling is None or _is_int(width) and width >= 0),
+        "'scaling' must be null or hold a non-negative integer 'width'",
     )
     need(isinstance(header.get("spec"), dict), "'spec' must be an object")
     need(_is_int(header.get("seed")), "'seed' must be an integer")
     need(isinstance(header.get("config_digest"), str), "'config_digest' must be a string")
-    need(isinstance(header.get("extras", {}), dict), "'extras' must be an object")
 
 
 def _read_blocks(fd: int, whole: memoryview, hash_blocks: bool, path: str) -> list[list[bytes]]:
@@ -266,7 +264,7 @@ def load(path: str) -> ModelState:
         raise CheckpointError(f"{path}: header length {header_len} exceeds file size")
     try:
         header = json.loads(whole[12 : 12 + header_len].tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
     _check_header(header, version, path)
 
@@ -287,7 +285,7 @@ def load(path: str) -> ModelState:
         params[entry["name"]] = take(tuple(entry["shape"]))
     scaling = None
     if header["scaling"] is not None:
-        width = int(header["scaling"]["width"])
+        width = header["scaling"]["width"]
         scaling = (take((width,)).copy(), take((width,)).copy())
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} unexpected trailing payload bytes")
@@ -295,10 +293,9 @@ def load(path: str) -> ModelState:
     state = ModelState(
         spec_dict=header["spec"],
         params=params,
-        seed=int(header["seed"]),
+        seed=header["seed"],
         config_digest=header["config_digest"],
         scaling=scaling,
-        extras=header.get("extras", {}),
     )
     _validate_against_spec(state)
     return state

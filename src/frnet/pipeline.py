@@ -110,6 +110,12 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):  # exactly int: a bool, float or numpy integer is refused
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, (tuple, list)) else (value,)
+            if f.type in (int, tuple[int, int]) and not all(type(x) is int for x in entries):
+                what = "an integer" if f.type is int else "two integers"
+                raise ConfigError(f"{CONFIG_KEYS[f.name]} must be {what}, got {value!r}")
         checks = [
             (self.seed >= 0, "seed must be >= 0"),
             (self.batch_size >= 1, "batch-size must be >= 1"),
@@ -206,8 +212,8 @@ def config_from_dict(values: dict, base: RunConfig | None = None) -> RunConfig:
                 raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
         elif isinstance(current, int):
             try:
-                updates[attr] = int(raw)
-            except (TypeError, ValueError):
+                updates[attr] = int(str(raw))  # as `_int_pair` does, so 2.7 and True are refused
+            except ValueError:
                 raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
         elif isinstance(current, float):
             try:
@@ -686,7 +692,7 @@ def cmd_report(run_dir: str) -> dict:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except ValueError as e:  # undecodable bytes or truncated JSON
+    except (ValueError, RecursionError) as e:  # undecodable bytes, truncated or too deeply nested JSON
         raise MissingArtifactError(f"{report_path}: malformed report: {e}") from None
     if not isinstance(report, dict) or not _REPORT_KEYS <= report.keys():
         raise MissingArtifactError(f"{report_path}: malformed report: needs the keys {sorted(_REPORT_KEYS)}")

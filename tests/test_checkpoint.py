@@ -1,6 +1,7 @@
 """Checkpoint format: round-trips, determinism, fail-closed loading."""
 
 import copy
+import dataclasses
 import errno
 import hashlib
 import json
@@ -54,7 +55,6 @@ def _state(seed=5, with_scaling=False, hidden=(32, 16)):
         seed=seed,
         config_digest="cafe" * 4,
         scaling=scaling,
-        extras={"epochs": 3},
     )
 
 
@@ -65,7 +65,6 @@ def test_round_trip_is_bitwise(tmp_path):
     back = load(path)
     assert back.spec_dict == state.spec_dict
     assert back.seed == state.seed and back.config_digest == state.config_digest
-    assert back.extras == state.extras
     assert list(back.params) == list(state.params)
     for n, p in state.params.items():
         assert back.params[n].tobytes() == p.tobytes()
@@ -82,7 +81,7 @@ def test_loaded_parameters_are_aligned_views_for_every_header_length(tmp_path):
     path = str(tmp_path / "a.ckpt")
     residues = set()
     for pad in range(ALIGN):
-        state.extras = {"epochs": 3, "pad": "x" * pad}
+        state.config_digest = "x" * pad
         save(state, path)
         residues.add(int.from_bytes(open(path, "rb").read()[8:12], "little") % ALIGN)
         back = load(path)
@@ -91,7 +90,7 @@ def test_loaded_parameters_are_aligned_views_for_every_header_length(tmp_path):
             assert got.flags.aligned and got.flags.c_contiguous
             assert got.dtype == np.float32 and got.shape == p.shape
             assert got.tobytes() == p.tobytes()
-        assert back.extras == state.extras
+        assert back.config_digest == state.config_digest
     assert residues == set(range(ALIGN))
 
 
@@ -150,20 +149,22 @@ def _stream_checksum(body):
     return hashlib.sha256(body).digest()[:8]
 
 
-def _joined_bytes(state, version=2):
+def _joined_bytes(state, version=2, old_extras=None):
     # the format spelled out as one concatenation: version 2 is the reference
-    # for save, version 1 the legacy layout loads still accept
+    # for save, version 1 the legacy layout loads still accept. Version 1, and
+    # version 2 given `old_extras`, carry the three keys earlier writers added
+    # to the header and loads ignore
     header = {
         "checksum": {1: "sha256-64", 2: "sha256-blocks-64"}[version],
         "config_digest": state.config_digest,
-        "extras": state.extras,
-        "model_kind": state.spec_dict["model_kind"],
         "params": [{"name": n, "shape": list(p.shape)} for n, p in state.params.items()],
         "scaling": None if state.scaling is None else {"width": len(state.scaling[0])},
         "seed": state.seed,
         "spec": state.spec_dict,
-        "version": version,
     }
+    if version == 1 or old_extras is not None:
+        header.update(extras={} if old_extras is None else old_extras,
+                      model_kind=state.spec_dict["model_kind"], version=version)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     arrays = list(state.params.values()) + list(state.scaling or ())
     body = b"".join(
@@ -233,22 +234,79 @@ def test_version_1_file_loads_bitwise_and_any_flipped_byte_fails_it(tmp_path):
     _assert_every_flipped_byte_fails(path, tiny)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("old_extras", [{}, [1]], ids=["extras-object", "extras-list"])
+def test_a_header_as_earlier_writers_wrote_it_loads_bitwise(tmp_path, version, old_extras):
+    # their "extras", "model_kind" and "version" keys are read past, whatever they hold
+    state = _state(with_scaling=True)
+    path = str(tmp_path / "old.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(_joined_bytes(state, version, old_extras))
+    back = _assert_loads_bitwise(path, state)
+    assert (back.spec_dict, back.seed, back.config_digest) == (state.spec_dict, state.seed, state.config_digest)
+    save(back, path)
+    assert open(path, "rb").read() == _joined_bytes(state)
+
+
+def _header(path):
+    blob = open(path, "rb").read()
+    return json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])
+
+
+@pytest.mark.parametrize("with_scaling", [False, True])
+def test_save_writes_each_header_fact_once(tmp_path, with_scaling):
+    path = str(tmp_path / "k.ckpt")
+    save(_state(with_scaling=with_scaling), path)
+    assert sorted(_header(path)) == ["checksum", "config_digest", "params", "scaling", "seed", "spec"]
+    assert [f.name for f in dataclasses.fields(ModelState)] == [
+        "spec_dict", "params", "seed", "config_digest", "scaling"
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "5"), ("seed", True), ("seed", np.int64(3)), ("config_digest", 12)],
+    ids=["seed-string", "seed-bool", "seed-numpy-int", "config-digest-number"],
+)
+def test_save_refuses_a_header_its_load_would_refuse(tmp_path, field, value):
+    state = _state()
+    setattr(state, field, value)
+    with pytest.raises(CheckpointError, match=f"malformed header: '{field}'"):
+        save(state, str(tmp_path / "r.ckpt"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_and_load_check_the_header_through_one_routine(tmp_path, monkeypatch):
+    real = checkpoint._check_header
+    checked = []
+
+    def check(header, version, path):
+        checked.append((copy.deepcopy(header), version))
+        real(header, version, path)
+
+    monkeypatch.setattr(checkpoint, "_check_header", check)
+    path = str(tmp_path / "o.ckpt")
+    save(_state(with_scaling=True), path)
+    load(path)
+    assert checked == [(_header(path), VERSION)] * 2
+
+
 def test_any_flipped_byte_of_a_small_file_fails_it(tmp_path, monkeypatch):
-    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 64)  # about ten blocks
+    monkeypatch.setattr(checkpoint, "HASH_BLOCK", 48)  # about ten blocks
     path = str(tmp_path / "tiny.ckpt")
     save(_tiny_state(), path)
     blob = open(path, "rb").read()
-    assert blob == _joined_bytes(_tiny_state()) and len(blob) > 8 * 64
+    assert blob == _joined_bytes(_tiny_state()) and len(blob) > 8 * 48
     _assert_every_flipped_byte_fails(path, blob)
 
 
 def _save_with_hashed_length(state, path, past_edge):
     # pad the header so that the bytes before the trailer end `past_edge` bytes past a block edge
-    state.extras = {"pad": ""}
+    state.config_digest = ""
     save(state, path)
     block = checkpoint.HASH_BLOCK
     target = ((os.path.getsize(path) - 8) // block + 1) * block + past_edge
-    state.extras = {"pad": "x" * (target - (os.path.getsize(path) - 8))}
+    state.config_digest = "x" * (target - (os.path.getsize(path) - 8))
     save(state, path)
     assert os.path.getsize(path) - 8 == target
 
@@ -571,16 +629,18 @@ def test_oversized_header_length_is_rejected(tmp_path):
         load(path)
 
 
-def _rewrite_header(path, mutate):
-    # replace the JSON header, fix its length field and re-seal the checksum
+def _seal_header(path, raw):
+    # put `raw` in place of the JSON header, fix its length field and re-seal the checksum
     def edit(body):
         n = int.from_bytes(body[8:12], "little")
-        header = json.loads(bytes(body[12 : 12 + n]))
-        header = mutate(header)
-        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         body[8 : 12 + n] = len(raw).to_bytes(4, "little") + raw
 
     _rewrite_with_valid_checksum(path, edit)
+
+
+def _rewrite_header(path, mutate):
+    header = mutate(_header(path))
+    _seal_header(path, json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
 def _drop(key):
@@ -612,47 +672,62 @@ def _spec_layer(name, field, value):
     return mutate
 
 
+_HEADER, _SPEC = "malformed header", "malformed network spec"
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, phrase",
     [
-        _drop("params"),
-        _drop("scaling"),
-        _drop("spec"),
-        _drop("seed"),
-        _drop("config_digest"),
-        _put("params", {"conv1/w": [1, 1, 1, 1]}),
-        _put("params", ["conv1/w"]),
-        _first_param("shape", "3x3"),
-        _first_param("shape", [3, -1]),
-        _first_param("name", 7),
-        _put("scaling", {"width": 1.5}),
-        _put("scaling", {"width": -3}),
-        _put("spec", []),
-        _put("spec", {"model_kind": "frnet1"}),
-        _put("seed", "5"),
-        _put("config_digest", 12),
-        _put("extras", [1]),
-        lambda header: [header],
-        _spec_layer("conv1", "stride", 0),
-        _spec_layer("pool1", "stride", -2),
-        _spec_layer("fc1", "activation", "bce"),
-        _spec_layer("conv1", "l2_scale", "0.1"),
-        _spec_layer("drop", "keep_prob", 0),
-    ],
-    ids=[
-        "no-params", "no-scaling", "no-spec", "no-seed", "no-config-digest",
-        "params-object", "params-entry-string", "shape-string", "shape-negative",
-        "name-number", "scaling-width-float", "scaling-width-negative", "spec-list",
-        "spec-without-layers", "seed-string", "config-digest-number", "extras-list",
-        "header-list", "spec-conv-stride-zero", "spec-pool-stride-negative",
-        "spec-activation-bce", "spec-l2-scale-string", "spec-keep-prob-zero",
+        pytest.param(_drop("params"), _HEADER, id="no-params"),
+        pytest.param(_drop("scaling"), _HEADER, id="no-scaling"),
+        pytest.param(_drop("spec"), _HEADER, id="no-spec"),
+        pytest.param(_drop("seed"), _HEADER, id="no-seed"),
+        pytest.param(_drop("config_digest"), _HEADER, id="no-config-digest"),
+        pytest.param(_put("params", {"conv1/w": [1, 1, 1, 1]}), _HEADER, id="params-object"),
+        pytest.param(_put("params", ["conv1/w"]), _HEADER, id="params-entry-string"),
+        pytest.param(_first_param("shape", "3x3"), _HEADER, id="shape-string"),
+        pytest.param(_first_param("shape", [3, -1]), _HEADER, id="shape-negative"),
+        pytest.param(_first_param("name", 7), _HEADER, id="name-number"),
+        pytest.param(_put("scaling", {"width": 1.5}), _HEADER, id="scaling-width-float"),
+        pytest.param(_put("scaling", {"width": -3}), _HEADER, id="scaling-width-negative"),
+        pytest.param(_put("spec", []), _HEADER, id="spec-list"),
+        pytest.param(_put("spec", {"model_kind": "frnet1"}), _SPEC, id="spec-without-layers"),
+        pytest.param(_put("seed", "5"), _HEADER, id="seed-string"),
+        pytest.param(_put("config_digest", 12), _HEADER, id="config-digest-number"),
+        pytest.param(lambda header: [header], _HEADER, id="header-list"),
+        pytest.param(_spec_layer("conv1", "stride", 0), _SPEC, id="spec-conv-stride-zero"),
+        pytest.param(_spec_layer("pool1", "stride", -2), _SPEC, id="spec-pool-stride-negative"),
+        pytest.param(_spec_layer("fc1", "activation", "bce"), _SPEC, id="spec-activation-bce"),
+        pytest.param(_spec_layer("conv1", "l2_scale", "0.1"), _SPEC, id="spec-l2-scale-string"),
+        pytest.param(_spec_layer("drop", "keep_prob", 0), _SPEC, id="spec-keep-prob-zero"),
     ],
 )
-def test_malformed_header_schema_is_a_checkpoint_error(tmp_path, mutate):
+def test_malformed_header_schema_is_a_checkpoint_error(tmp_path, mutate, phrase):
     path = str(tmp_path / "s.ckpt")
     save(_state(), path)
     _rewrite_header(path, mutate)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=phrase):
+        load(path)
+
+
+def test_a_header_nested_too_deep_to_parse_is_a_checkpoint_error(tmp_path):
+    path = str(tmp_path / "deep.ckpt")
+    save(_state(), path)
+    raw = json.dumps(_header(path), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    depth = 100_000
+    _seal_header(path, raw[:-1] + b',"extras":' + b"[" * depth + b"]" * depth + b"}")
+    with pytest.raises(CheckpointError, match="unreadable header"):
+        load(path)
+
+
+def test_a_spec_field_nested_too_deep_to_read_is_a_checkpoint_error(tmp_path):
+    path = str(tmp_path / "deep.ckpt")
+    save(_state(), path)
+    nested = 1
+    for _ in range(500):
+        nested = [nested]
+    _rewrite_header(path, _spec_layer("conv1", "stride", nested))
+    with pytest.raises(CheckpointError, match=_SPEC):
         load(path)
 
 

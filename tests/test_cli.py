@@ -5,6 +5,7 @@ checks plumbing and process contracts, not learning behavior.
 """
 
 import errno
+import hashlib
 import json
 import os
 import resource
@@ -245,14 +246,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("content", [
         b'{"dataset": "blobs", "pairs": 3', b"{}", b"\xff\xfe{}",
         _report_bytes(means=5), _report_bytes(means={"auPR": "0.9", "auROC": 0.8}),
-        _report_bytes(curve_files="roc.tsv"),
+        _report_bytes(curve_files="roc.tsv"), b"[" * 100_000 + b"]" * 100_000,
     ], ids=["truncated", "empty-object", "not-utf8", "means-not-object", "means-non-number",
-            "curve-files-not-list"])
+            "curve-files-not-list", "nested-too-deep"])
     def test_malformed_report_is_a_runtime_failure(self, tmp_path, content, capsys):
         (tmp_path / "report.json").write_bytes(content)
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "report.json: malformed report" in err and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "report.json: malformed report" in err
+
+    def test_a_checkpoint_header_nested_too_deep_is_one_error_line(self, dataset_file, tmp_path, capsys):
+        raw = b"[" * 100_000 + b"]" * 100_000
+        body = b"FRNT" + (2).to_bytes(4, "little") + len(raw).to_bytes(4, "little") + raw
+        path = tmp_path / "deep.ckpt"  # a valid version-2 checksum over one block
+        path.write_bytes(body + hashlib.sha256(hashlib.sha256(body).digest()).digest()[:8])
+        rc = main(["rank", *tiny_flags(dataset_file, tmp_path), "--ae-checkpoint", str(path),
+                   "--clf-checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "unreadable header" in err
 
 
 class TestCommands:

@@ -131,6 +131,14 @@ class TestRunConfig:
             ("clf_hidden", (0, 4), "clf-hidden"),
             ("lr", math.inf, "lr must be finite"),
             ("l2_scale", math.inf, "l2-scale must be finite"),
+            ("folds", 2.5, "folds must be an integer"),
+            ("batch_size", 2.5, "batch-size must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("repeats", np.int64(2), "repeats must be an integer"),
+            ("epochs_clf", "3", "epochs-clf must be an integer"),
+            ("orientation", (7.0, 7), "orientation must be two integers"),
+            ("ae_hidden", (16, False), "ae-hidden must be two integers"),
+            ("clf_hidden", [8, 4.0], "clf-hidden must be two integers"),
         ],
     )
     def test_validate_rejects(self, field, value, phrase):
@@ -192,6 +200,9 @@ class TestRunConfig:
             ({"ae-hidden": [1, 2, 3]}, "two integers"),
             ({"orientation": ["a", "b"]}, "two integers"),
             ({"ae-hidden": [1.5, 2]}, "two integers"),
+            ({"folds": 2.7}, "folds: expected an integer"),
+            ({"seed": True}, "seed: expected an integer"),
+            ({"batch-size": 1e3}, "batch-size: expected an integer"),
         ],
     )
     def test_from_dict_rejects(self, values, phrase):
