@@ -83,19 +83,20 @@ class ModelState:
     scaling: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _validate_against_spec(state: ModelState) -> None:
+def _validate_against_spec(state: ModelState, path: str) -> None:
+    """Raise CheckpointError, naming the file at `path`, if the parameters do not fit the spec."""
     try:
         manifest = models.parameter_manifest(models.spec_from_dict(state.spec_dict))
     except (KeyError, TypeError, ValueError, RecursionError, FrnetError) as e:
-        raise CheckpointError(f"malformed network spec: {e!r}") from None
+        raise CheckpointError(f"{path}: malformed network spec: {e!r}") from None
     if set(state.params) != set(manifest):
         missing = sorted(set(manifest) - set(state.params))
         extra = sorted(set(state.params) - set(manifest))
-        raise CheckpointError(f"parameter names do not match spec: missing {missing}, extra {extra}")
+        raise CheckpointError(f"{path}: parameter names do not match spec: missing {missing}, extra {extra}")
     for name, shape in manifest.items():
         got = tuple(state.params[name].shape)
         if got != shape:
-            raise CheckpointError(f"parameter {name}: shape {got} does not match spec {shape}")
+            raise CheckpointError(f"{path}: parameter {name}: shape {got} does not match spec {shape}")
 
 
 def _digests(body: memoryview, first: int, last: int) -> list[bytes]:
@@ -110,7 +111,7 @@ def _checksum(halves: list[list[bytes]]) -> bytes:
 
 def save(state: ModelState, path: str) -> None:
     """Write the checkpoint atomically (`data.atomic_write`), built and hashed in one buffer."""
-    _validate_against_spec(state)
+    _validate_against_spec(state, path)
     sections = list(state.params.values())
     scaling = None
     if state.scaling is not None:
@@ -297,5 +298,5 @@ def load(path: str) -> ModelState:
         config_digest=header["config_digest"],
         scaling=scaling,
     )
-    _validate_against_spec(state)
+    _validate_against_spec(state, path)
     return state

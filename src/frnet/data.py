@@ -102,6 +102,8 @@ def subset(d: Dataset, indices: np.ndarray) -> Dataset:
 
 DELIMITED = "delimited-text"
 SPARSE = "sparse-index-value"
+# the error for a format that is neither of these; str.format fills in the format
+UNKNOWN_FORMAT = f"unknown dataset format {{!r}}; expected {DELIMITED!r} or {SPARSE!r}"
 
 
 def _parse_label(token: str, where: str) -> int:
@@ -217,7 +219,7 @@ def _load_sparse(path: str, lines: list[tuple[int, str]]):
 def load_dataset(path: str, format: str = DELIMITED, name: str = "custom") -> Dataset:
     """Parse a dataset file; errors carry path and line number."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: {e}") from None
@@ -233,7 +235,7 @@ def load_dataset(path: str, format: str = DELIMITED, name: str = "custom") -> Da
     elif format == SPARSE:
         drug_ids, target_ids, labels, feats = _load_sparse(path, lines)
     else:
-        raise DataError(f"unknown dataset format {format!r}; expected {DELIMITED!r} or {SPARSE!r}")
+        raise DataError(UNKNOWN_FORMAT.format(format))
     return Dataset(name, tuple(drug_ids), tuple(target_ids), feats, np.array(labels))
 
 

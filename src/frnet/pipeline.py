@@ -28,6 +28,8 @@ import numpy as np
 from . import checkpoint
 from .data import (
     DELIMITED,
+    SPARSE,
+    UNKNOWN_FORMAT,
     Dataset,
     ScalingRecord,
     apply_scaling,
@@ -86,6 +88,32 @@ _STAGE_GLOBAL_AE = 3
 DIVERGENCE_FACTOR = 1000.0
 
 
+def _parse_pair(raw) -> tuple[int, int]:
+    """'211x7' or '4096,2048', or two entries, as two ints (so 1.5 is refused, not truncated)."""
+    if not isinstance(raw, (tuple, list)):
+        raw = str(raw).split("x" if "x" in str(raw) else ",")
+    a, b = (int(str(p)) for p in raw)
+    return a, b
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# Per declared RunConfig field type: its name in messages, the exact-type test `validate`
+# applies, and the parser `config_from_dict` applies to a raw value (CLI or INI text, or a
+# Python value). The parsers read the value's text, so True is refused for a number.
+_FIELD_TYPES = {
+    bool: ("a boolean", lambda v: type(v) is bool, lambda raw: _BOOLS[str(raw).lower()]),
+    int: ("an integer", lambda v: type(v) is int, lambda raw: int(str(raw))),
+    float: ("a float", lambda v: type(v) is float, lambda raw: float(str(raw))),
+    str: ("a string", lambda v: type(v) is str, str),
+    tuple[int, int]: (
+        "two integers like '211x7'",
+        lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(type(x) is int for x in v),
+        _parse_pair,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset_path: str = ""
@@ -110,13 +138,15 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
-        for f in fields(self):  # exactly int: a bool, float or numpy integer is refused
+        """Return self; raise ConfigError for a value that is not exactly its field's declared
+        type (so `lr=1` and `stratified="no"` are refused), out of range, or an unknown format."""
+        for f in fields(self):
+            name, exact, _ = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            entries = value if isinstance(value, (tuple, list)) else (value,)
-            if f.type in (int, tuple[int, int]) and not all(type(x) is int for x in entries):
-                what = "an integer" if f.type is int else "two integers"
-                raise ConfigError(f"{CONFIG_KEYS[f.name]} must be {what}, got {value!r}")
+            if not exact(value):
+                raise ConfigError(f"{CONFIG_KEYS[f.name]} must be {name}, got {value!r}")
         checks = [
+            (self.dataset_format in (DELIMITED, SPARSE), UNKNOWN_FORMAT.format(self.dataset_format)),
             (self.seed >= 0, "seed must be >= 0"),
             (self.batch_size >= 1, "batch-size must be >= 1"),
             (self.epochs_ae >= 0, "epochs-ae must be >= 0"),
@@ -130,12 +160,9 @@ class RunConfig:
             (self.repeats >= 1, "repeats must be >= 1"),
             (self.bottleneck_channels >= 1, "bottleneck-channels must be >= 1"),
             (0 < self.threshold < 1, "threshold must be in (0, 1)"),
-            (len(self.orientation) == 2 and min(self.orientation) >= 1,
-             "orientation must be two positive extents"),
-            (len(self.ae_hidden) == 2 and min(self.ae_hidden) >= 1,
-             "ae-hidden must be two positive widths"),
-            (len(self.clf_hidden) == 2 and min(self.clf_hidden) >= 1,
-             "clf-hidden must be two positive widths"),
+            (min(self.orientation) >= 1, "orientation must be two positive extents"),
+            (min(self.ae_hidden) >= 1, "ae-hidden must be two positive widths"),
+            (min(self.clf_hidden) >= 1, "clf-hidden must be two positive widths"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -177,57 +204,25 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def parse_pair(text: str, what: str) -> tuple[int, int]:
-    """'211x7' or '4096,2048' -> (211, 7); both separators accepted."""
-    return _int_pair(text.split("x" if "x" in text else ","), what, text)
-
-
-def _int_pair(parts, what: str, raw) -> tuple[int, int]:
-    """Two entries, each the text of an integer, as ints (so 1.5 is refused, not truncated)."""
-    try:
-        a, b = (int(str(p)) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{what}: expected two integers like '211x7', got {raw!r}") from None
-    return a, b
-
-
 def config_from_dict(values: dict, base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from kebab-case keys, starting from `base`."""
-    cfg = base if base is not None else RunConfig()
-    attr_by_key = {key: attr for attr, key in CONFIG_KEYS.items()}
+    """Build a RunConfig from kebab-case keys, starting from `base` (default: RunConfig()).
+
+    Each value is parsed by its field's declared type, not by what `base` holds:
+    booleans as true/yes/1 or false/no/0 in any case, integers and floats from
+    their text, pairs as '211x7', '211,7' or two entries. The result is not validated.
+    """
+    fields_by_key = {CONFIG_KEYS[f.name]: f for f in fields(RunConfig)}
     updates = {}
     for key, raw in values.items():
-        if key not in attr_by_key:
+        if key not in fields_by_key:
             raise ConfigError(f"unknown config key {key!r}")
-        attr = attr_by_key[key]
-        current = getattr(cfg, attr)
-        if isinstance(current, bool):
-            if isinstance(raw, bool):
-                updates[attr] = raw
-            elif str(raw).lower() in ("true", "yes", "1"):
-                updates[attr] = True
-            elif str(raw).lower() in ("false", "no", "0"):
-                updates[attr] = False
-            else:
-                raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-        elif isinstance(current, int):
-            try:
-                updates[attr] = int(str(raw))  # as `_int_pair` does, so 2.7 and True are refused
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-        elif isinstance(current, float):
-            try:
-                updates[attr] = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        elif isinstance(current, tuple):
-            if isinstance(raw, (list, tuple)):
-                updates[attr] = _int_pair(raw, key, raw)
-            else:
-                updates[attr] = parse_pair(str(raw), key)
-        else:
-            updates[attr] = str(raw)
-    return replace(cfg, **updates)
+        f = fields_by_key[key]
+        name, _, parse = _FIELD_TYPES[f.type]
+        try:
+            updates[f.name] = parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {name}, got {raw!r}") from None
+    return replace(base if base is not None else RunConfig(), **updates)
 
 
 class TrainLog:
@@ -471,10 +466,10 @@ def cmd_train_clf(cfg: RunConfig, features_path: str) -> dict:
     """Train the classifier on an extracted-feature file; write checkpoint and log."""
     cfg.validate()
     d = read_feature_file(features_path)
-    out = _ensure_out_dir(cfg)
     if math.isqrt(d.feature_count) ** 2 != d.feature_count:
         raise DataError(f"{features_path}: width {d.feature_count} is not a perfect square; "
                         "the classifier views each row as a square image")
+    out = _ensure_out_dir(cfg)
     model, log = _train_classifier(cfg, d.features, d.labels, path=(_STAGE_CLF, 0, 0))
     _save(cfg, model, None, log, "clf.ckpt", "clf_train_log.tsv")
     return {"checkpoint": os.path.join(out, "clf.ckpt"), "log": os.path.join(out, "clf_train_log.tsv"),

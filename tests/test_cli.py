@@ -4,6 +4,7 @@ Runs go through main() with tiny zero- or one-epoch configs; this file
 checks plumbing and process contracts, not learning behavior.
 """
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from frnet import cli, data
+from frnet import checkpoint, cli, data
 from frnet.cli import build_parser, main
 from frnet.data import write_feature_file
 from frnet.synth import synth_blobs
@@ -158,9 +159,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["train-ae", "extract", "train-clf"])
     def test_out_dir_under_a_file_exits_one_before_any_work(self, dataset_file, tmp_path, command, capsys):
-        # extract checks the out-dir before it reads its (absent) checkpoint
+        # extract checks the out-dir before it reads its (absent) checkpoint; train-clf checks
+        # its feature file's width first, so it gets a square one
+        square = str(tmp_path / "square.tsv")
+        write_feature_file(square, synth_blobs(n=30, width=16, seed=3))
         extra = {"train-ae": [], "extract": ["--ae-checkpoint", str(tmp_path / "absent.ckpt")],
-                 "train-clf": ["--features", dataset_file]}[command]
+                 "train-clf": ["--features", square]}[command]
         (tmp_path / "file").write_text("")
         rc = main([command, *tiny_flags(dataset_file, tmp_path / "file" / "out"), *extra])
         err = capsys.readouterr().err
@@ -168,12 +172,38 @@ class TestExitCodes:
         assert err.startswith("error: out-dir: ") and len(err.splitlines()) == 1, err
 
     def test_train_clf_on_a_non_square_feature_file_exits_one(self, dataset_file, tmp_path, capsys):
-        rc = main(["train-clf", *tiny_flags(dataset_file, tmp_path), "--features", dataset_file])
+        out = tmp_path / "out"
+        rc = main(["train-clf", *tiny_flags(dataset_file, out), "--features", dataset_file])
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error: {dataset_file}: width 48 is not a perfect square; " \
                       "the classifier views each row as a square image\n"
-        assert not (tmp_path / "clf.ckpt").exists()
+        assert not out.exists()  # checked before the out-dir is made
+
+    def test_train_clf_refuses_an_unknown_dataset_format_before_output(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = tiny_flags(dataset_file, out, **{"dataset-format": "bogus"})
+        assert main(["train-clf", *flags, "--features", dataset_file]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown dataset format 'bogus'; expected ")
+        assert not out.exists()
+
+    def test_a_checkpoint_unlike_its_spec_is_named_by_rank(self, dataset_file, tmp_path, monkeypatch, capsys):
+        flags = tiny_flags(dataset_file, tmp_path)
+        ae, clf, bad = (str(tmp_path / name) for name in ("ae.ckpt", "clf.ckpt", "bad.ckpt"))
+        assert main(["train-ae", *flags]) == 0
+        assert main(["extract", *flags, "--ae-checkpoint", ae]) == 0
+        assert main(["train-clf", *flags, "--features", str(tmp_path / "features.tsv")]) == 0
+        state = checkpoint.load(clf)
+        params = dict(state.params)
+        params["ghost/w"] = params.pop(next(iter(params)))  # a parameter the spec lacks
+        with monkeypatch.context() as m:  # save checks the spec too, so skip that to write the bad file
+            m.setattr(checkpoint, "_validate_against_spec", lambda state, path: None)
+            checkpoint.save(dataclasses.replace(state, params=params), bad)
+        capsys.readouterr()
+        assert main(["rank", *flags, "--ae-checkpoint", ae, "--clf-checkpoint", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: parameter names do not match spec: ") and err.count("\n") == 1
+        assert "extra ['ghost/w']" in err
 
     def test_an_id_holding_a_tab_exits_one_with_one_error_line(self, tmp_path, capsys):
         p = tmp_path / "tabbed.csv"

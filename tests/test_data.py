@@ -186,6 +186,29 @@ def test_sparse_index_too_large_to_allocate_is_a_data_error(tmp_path):
         load_dataset(str(p), SPARSE)
 
 
+_BOM = "\ufeff"  # a UTF-8 byte-order mark, as spreadsheet exports write
+
+
+def test_a_byte_order_mark_before_a_file_without_ids_is_dropped(tmp_path):
+    p = tmp_path / "bare.csv"
+    p.write_text(_BOM + "1,0.5,0.25\n0,0.75,1.0\n", encoding="utf-8")
+    d = load_dataset(str(p), DELIMITED)
+    assert d.labels.tolist() == [1, 0] and d.features.tolist() == [[0.5, 0.25], [0.75, 1.0]]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_drug_id(tmp_path):
+    p = tmp_path / "ids.tsv"
+    p.write_text(_BOM + "d0\tt0\t1\t0.5\nd1\tt1\t0\t0.25\n", encoding="utf-8")
+    assert load_dataset(str(p), DELIMITED).drug_ids == ("d0", "d1")
+
+
+def test_a_byte_order_mark_before_a_sparse_file_is_dropped(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text(_BOM + "1 0:0.5 3:2.0\n0 1:1.5\n", encoding="utf-8")
+    d = load_dataset(str(p), SPARSE)
+    assert d.labels.tolist() == [1, 0] and d.feature_count == 4
+
+
 def test_unknown_format(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n")

@@ -47,7 +47,6 @@ from frnet.pipeline import (
     config_digest,
     config_from_dict,
     config_to_dict,
-    parse_pair,
 )
 from frnet.rng import FOLDS, derive_key
 from frnet.synth import synth_blobs
@@ -139,6 +138,15 @@ class TestRunConfig:
             ("orientation", (7.0, 7), "orientation must be two integers"),
             ("ae_hidden", (16, False), "ae-hidden must be two integers"),
             ("clf_hidden", [8, 4.0], "clf-hidden must be two integers"),
+            ("lr", True, "lr must be a float, got True"),
+            ("lr", "0.1", "lr must be a float, got '0.1'"),
+            ("lr", 1, "lr must be a float, got 1"),
+            ("stratified", "no", "stratified must be a boolean, got 'no'"),
+            ("global_ae", 0, "global-ae must be a boolean, got 0"),
+            ("out_dir", 5, "out-dir must be a string, got 5"),
+            ("dataset_name", None, "dataset-name must be a string, got None"),
+            ("dataset_format", "bogus", "unknown dataset format 'bogus'; expected 'delimited-text' or"),
+            ("orientation", (2, 3, 4), "orientation must be two integers"),
         ],
     )
     def test_validate_rejects(self, field, value, phrase):
@@ -188,13 +196,21 @@ class TestRunConfig:
         assert cfg.orientation == (7, 211)
         assert cfg.ae_hidden == (64, 16)
         assert cfg.dataset_name == "nr"
+        cfg = config_from_dict({"orientation": "211x7", "ae-hidden": "4096,2048"})
+        assert (cfg.orientation, cfg.ae_hidden) == ((211, 7), (4096, 2048))
+
+    def test_a_mistyped_base_does_not_steer_parsing(self):
+        base = dataclasses.replace(RunConfig(), stratified="x", lr=1, orientation="7x7")
+        cfg = config_from_dict({"stratified": "false", "lr": "0.5", "orientation": "7x211"}, base)
+        assert (cfg.stratified, cfg.lr, cfg.orientation) == (False, 0.5, (7, 211))
+        assert cfg.validate() is cfg
 
     @pytest.mark.parametrize(
         "values, phrase",
         [
             ({"epoch-count": 3}, "unknown config key"),
             ({"seed": "eleven"}, "expected an integer"),
-            ({"lr": "fast"}, "expected a number"),
+            ({"lr": "fast"}, "expected a float"),
             ({"stratified": "maybe"}, "expected a boolean"),
             ({"orientation": "7"}, "two integers"),
             ({"ae-hidden": [1, 2, 3]}, "two integers"),
@@ -203,18 +219,16 @@ class TestRunConfig:
             ({"folds": 2.7}, "folds: expected an integer"),
             ({"seed": True}, "seed: expected an integer"),
             ({"batch-size": 1e3}, "batch-size: expected an integer"),
+            ({"lr": True}, "lr: expected a float, got True"),
+            ({"keep-prob": True}, "keep-prob: expected a float, got True"),
+            ({"orientation": "211"}, "orientation: expected two integers"),
+            ({"orientation": "ax7"}, "orientation: expected two integers"),
+            ({"orientation": "1x2x3"}, "orientation: expected two integers"),
         ],
     )
     def test_from_dict_rejects(self, values, phrase):
         with pytest.raises(ConfigError, match=phrase):
             config_from_dict(values)
-
-    def test_parse_pair(self):
-        assert parse_pair("211x7", "orientation") == (211, 7)
-        assert parse_pair("4096,2048", "ae-hidden") == (4096, 2048)
-        for bad in ("211", "ax7", "1x2x3"):
-            with pytest.raises(ConfigError):
-                parse_pair(bad, "orientation")
 
     def test_digest_tracks_content(self):
         a = RunConfig(seed=1)
